@@ -148,7 +148,6 @@ class _NullEngine(AnalysisEngine):
 
     name = "null"
     version = "bench"
-    requires_order = True
 
     def feed(self, ev):
         return []
@@ -169,8 +168,7 @@ def test_annotation_computed_once(quick):
         best = float("inf")
         for _ in range(repeats):
             bus = AnalysisBus(ex.n_threads,
-                              [_NullEngine() for _ in range(n_engines)],
-                              ordered=True)
+                              [_NullEngine() for _ in range(n_engines)])
             t0 = time.perf_counter()
             for i in range(0, len(msgs), 256):
                 bus.feed_batch(msgs[i:i + 256])

@@ -3,38 +3,30 @@
 
 Everything happens *while the program runs*: real ``threading`` threads
 touch shared variables through the instrumented runtime; Algorithm A streams
-each relevant message straight into an :class:`OnlinePredictor` sink; the
-predictor builds the computation lattice level by level and reports
-violations the moment the buffered prefix proves them — not at program exit.
+each relevant message straight into an :class:`Observer` (``sink=
+observer.receive``); the observer's causal delivery hands the messages to
+its LTL engine, which builds the computation lattice level by level as they
+arrive.
 
 The monitored program is the landing controller, written against
-``SharedVar``s.  After the threads finish, end-of-thread markers close the
-lattice and the final verdict is printed.
+``SharedVar``s.  After the threads finish, ``finish()`` closes the lattice
+and the predicted violations are printed.
 
 Run:  python examples/online_monitoring.py
 """
 
 import threading
 
-from repro import InstrumentedRuntime, OnlinePredictor, SharedVar, run_threads
+from repro import InstrumentedRuntime, SharedVar, run_threads
+from repro.observer import Observer
 from repro.workloads import LANDING_PROPERTY, LANDING_VARS
 
 
 def main() -> None:
-    predictor_lock = threading.Lock()
-    live_violations = []
     initial = {"landing": 0, "approved": 0, "radio": 1}
-    predictor = OnlinePredictor(2, initial, LANDING_PROPERTY)
-
-    def sink(msg):
-        # called under the runtime's event lock, as the program runs
-        with predictor_lock:
-            new = predictor.feed(msg)
-            for v in new:
-                live_violations.append(v)
-                print(f"  !! violation predicted online at cut {v.cut}")
-
-    rt = InstrumentedRuntime(initial, sink=sink)
+    observer = Observer(2, initial, spec=LANDING_PROPERTY)
+    # the runtime calls its sink under its event lock, as the program runs
+    rt = InstrumentedRuntime(initial, sink=observer.receive, max_threads=2)
 
     landing = SharedVar(rt, "landing")
     approved = SharedVar(rt, "approved")
@@ -57,21 +49,18 @@ def main() -> None:
 
     print(f"monitoring: {LANDING_PROPERTY}")
     run_threads(rt, [controller, radio_watchdog])
+    print(f"lattice levels completed while running: "
+          f"{observer.stats.levels_completed}")
 
-    # end-of-thread markers let the lattice close without guessing
-    with predictor_lock:
-        for t in range(2):
-            emitted = sum(1 for m in rt.messages if m.thread == t)
-            for v in predictor.mark_thread_done(t, emitted):
-                live_violations.append(v)
-                print(f"  !! violation predicted at close, cut {v.cut}")
+    # end of stream: the last levels close and every verdict is final
+    observer.finish()
 
     print(f"\nfinal store: { {k: rt.store[k] for k in LANDING_VARS} }")
     print(f"messages emitted: {len(rt.messages)}")
-    print(f"violations predicted: {len(live_violations)}")
-    for v in live_violations:
-        print("  counterexample:", v.pretty(LANDING_VARS))
-    assert live_violations, "the lattice contains the radio-first schedules"
+    print(f"violations predicted: {len(observer.violations)}")
+    for text in observer.counterexamples():
+        print("  counterexample:", text)
+    assert observer.violations, "the lattice contains the radio-first schedules"
     print("\nThe bug was predicted while the program was still the only "
           "evidence — no failing run was ever observed.")
 

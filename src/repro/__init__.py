@@ -31,7 +31,6 @@ from .analysis import (
     AnalysisReport,
     DetectionResult,
     ModelCheckResult,
-    OnlinePredictor,
     PredictionReport,
     Race,
     analyze,
@@ -112,7 +111,6 @@ __all__ = [
     "write_trace",
     "PCTScheduler",
     "DetectionResult",
-    "OnlinePredictor",
     "PredictionReport",
     "Race",
     "detect",

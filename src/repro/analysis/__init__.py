@@ -19,7 +19,7 @@ from .liveness import (
 )
 from .modelcheck import ModelCheckResult, model_check
 from .predicates import PredicateReport, as_predicate, definitely, possibly
-from .predictive import OnlinePredictor, PredictionReport, predict, predict_many
+from .predictive import PredictionReport, predict, predict_many
 from .report import AnalysisReport, analyze
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "as_predicate",
     "definitely",
     "possibly",
-    "OnlinePredictor",
     "PredictionReport",
     "predict",
     "predict_many",

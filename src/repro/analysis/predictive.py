@@ -29,8 +29,7 @@ from ..logic.ast import Formula
 from ..logic.monitor import Monitor
 from ..sched.scheduler import ExecutionResult
 
-__all__ = ["PredictionReport", "DegradedWindow", "predict", "predict_many",
-           "OnlinePredictor"]
+__all__ = ["PredictionReport", "DegradedWindow", "predict", "predict_many"]
 
 
 @dataclass(frozen=True)
@@ -247,103 +246,3 @@ def predict_many(
         )
     return reports
 
-
-class OnlinePredictor:
-    """Streaming façade: feed messages as the program runs, read violations
-    as they are predicted (the deployment shape of Fig. 4's monitoring
-    module).  Wire its :meth:`feed` to Algorithm A's ``sink`` or to a
-    :class:`repro.observer.channel.Channel` consumer.
-    """
-
-    def __init__(
-        self,
-        n_threads: int,
-        initial_store: Mapping[VarName, Any],
-        spec: str | Formula | Monitor,
-        track_paths: bool = True,
-    ):
-        self._monitor = _resolve_monitor(spec)
-        variables = sorted(self._monitor.variables)
-        self._builder = LevelByLevelBuilder(
-            n_threads,
-            _initial_state(initial_store, variables),
-            self._monitor,
-            track_paths=track_paths,
-        )
-        self._reported = 0
-
-    def feed(self, msg: Message) -> list[Violation]:
-        """Consume one message; returns violations newly discovered by it."""
-        self._builder.feed(msg)
-        return self._drain()
-
-    def feed_batch(self, msgs: Sequence[Message]) -> list[Violation]:
-        """Consume many messages at once; returns violations newly
-        discovered by the batch.  Same final state and violation set as
-        feeding them one by one (the builder advances once at the end
-        instead of after each message)."""
-        self._builder.feed_many(msgs)
-        return self._drain()
-
-    def mark_thread_done(self, thread: int, total_relevant: int) -> list[Violation]:
-        self._builder.mark_thread_done(thread, total_relevant)
-        return self._drain()
-
-    def finish(self) -> list[Violation]:
-        self._builder.finish()
-        return self._drain()
-
-    def finish_partial(
-        self,
-        delivered_counts: Sequence[int],
-        expected_counts: Optional[Sequence[int]] = None,
-    ) -> list[Violation]:
-        """Finish over a *delivered prefix* instead of the full stream.
-
-        Graceful-degradation path: the transport lost messages, and the
-        observer decided to stop waiting.  ``delivered_counts[i]`` is the
-        number of thread-``i`` messages actually fed to :meth:`feed` — a
-        consistent cut, because causal delivery only releases a message
-        once its whole causal past has been released.  The builder is told
-        each thread ends there, so the sub-lattice completes instead of
-        stalling on the gaps; verdicts on it are exact for the prefix.
-
-        ``expected_counts`` (the true per-thread totals, when known from
-        end-of-thread markers) determines the :attr:`degraded_windows`
-        accounting; without it any thread is conservatively marked degraded
-        from ``delivered + 1`` since the stream was cut short.
-        """
-        self._degraded = []
-        for i, delivered in enumerate(delivered_counts):
-            expected = (None if expected_counts is None
-                        else expected_counts[i])
-            if expected is not None and delivered > expected:
-                raise ValueError(
-                    f"thread {i}: delivered {delivered} > expected {expected}"
-                )
-            if expected is None or delivered < expected:
-                self._degraded.append(DegradedWindow(
-                    thread=i, first_missing=delivered + 1,
-                    analyzed=delivered,
-                ))
-            self._builder.mark_thread_done(i, delivered)
-        self._builder.finish()
-        return self._drain()
-
-    @property
-    def degraded_windows(self) -> tuple[DegradedWindow, ...]:
-        """Set by :meth:`finish_partial`; empty after a clean :meth:`finish`."""
-        return tuple(getattr(self, "_degraded", ()))
-
-    def _drain(self) -> list[Violation]:
-        new = self._builder.violations[self._reported:]
-        self._reported = len(self._builder.violations)
-        return new
-
-    @property
-    def violations(self) -> list[Violation]:
-        return list(self._builder.violations)
-
-    @property
-    def stats(self) -> BuilderStats:
-        return self._builder.stats

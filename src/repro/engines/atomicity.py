@@ -28,8 +28,8 @@ instrumentation; the parity tests enforce it) but runs online:
 Findings are *predictive* — based on concurrency in the causal order, not
 on the interleaving having happened — and only emitted for regions that
 close (an unreleased lock is not an atomic block, matching the offline
-oracle).  Requires causally-ordered input (``requires_order=True``): the
-sync-HB annotation is only defined along a linear extension of ⊳.
+oracle).  Relies on the bus's causally-ordered input: the sync-HB
+annotation is only defined along a linear extension of ⊳.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ class AtomicityEngine(AnalysisEngine):
 
     name = "atomicity"
     version = "1"
-    requires_order = True
 
     def __init__(self, n_threads: int):
         super().__init__()
@@ -165,7 +164,7 @@ class AtomicityEngine(AnalysisEngine):
     def feed(self, ev: BusEvent) -> list[AtomicityFinding]:
         if ev.hb is None:
             raise ValueError(
-                "atomicity engine needs sync-HB annotations (ordered bus)")
+                "atomicity engine needs sync-HB annotations (AnalysisBus)")
         self._frontier[ev.thread] = ev.hb
         kind = ev.event.kind
         if kind is EventKind.ACQUIRE:

@@ -109,17 +109,12 @@ class AnalysisEngine:
     verdict assembly — so ``Observer(fault_tolerant=True)`` works for
     *every* engine, not only the LTL predictor.
 
-    ``requires_order=True`` engines must only ever see causally-ordered
-    messages (a linear extension of ⊳); the bus enforces this at
-    registration time against its own ordering guarantee.
+    Engines only ever see causally-ordered messages (a linear extension
+    of ⊳): the observer feeds the bus from causal-delivery releases.
     """
 
     name: str = "engine"
     version: str = "1"
-    #: Must the bus deliver messages in causal order?  The LTL predictor
-    #: buffers internally (the lattice reorders), so it tolerates raw
-    #: arrival order; clock-annotation consumers do not.
-    requires_order: bool = True
 
     def __init__(self) -> None:
         self._degraded: tuple[DegradedWindow, ...] = ()

@@ -6,12 +6,12 @@ every message it
 
 1. materializes the message's MVC once (:attr:`BusEvent.clock` — the
    Theorem 3 clock every engine shares instead of re-walking the backend),
-2. when the input stream is causally ordered, maintains the
-   **synchronization-only happens-before** vector clocks online
-   (:attr:`BusEvent.hb`) — program order plus edges through lock/monitor
-   accesses, the relation predictive atomicity and pattern analyses need
-   (conflicting *data* accesses stay concurrent under it, exactly
-   ``Computation(events, causality="sync")`` computed incrementally), and
+2. maintains the **synchronization-only happens-before** vector clocks
+   online (:attr:`BusEvent.hb`) — program order plus edges through
+   lock/monitor accesses, the relation predictive atomicity and pattern
+   analyses need (conflicting *data* accesses stay concurrent under it,
+   exactly ``Computation(events, causality="sync")`` computed
+   incrementally), and
 3. fans the annotated event out to every engine, collecting their new
    findings.
 
@@ -22,10 +22,8 @@ so far) and joins it into the accessing thread's clock.  Cost: O(n) per
 sync access, O(1) amortized otherwise — computed once however many engines
 are listening.
 
-Ordering contract: engines declare ``requires_order``; a bus constructed
-with ``ordered=False`` (the strict observer's raw-arrival path) refuses
-them at registration, so a mis-wired pipeline fails loudly instead of
-silently mis-annotating.
+Ordering contract: the input must be a linear extension of ⊳ — the
+releases of causal delivery, which is how the observer always feeds it.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ from typing import Any, Optional, Sequence
 
 from ..core.events import EventKind, Message, VarName
 from ..obs import metrics as _metrics
-from .base import AnalysisEngine, EngineError, EngineVerdict, \
-    compute_degraded_windows
+from .base import AnalysisEngine, EngineVerdict, compute_degraded_windows
 
 __all__ = ["BusEvent", "AnalysisBus", "hb_precedes", "hb_concurrent"]
 
@@ -56,11 +53,11 @@ class BusEvent:
     index: int
     #: The message's MVC, materialized as a plain tuple (Theorem 3 clock).
     clock: tuple[int, ...]
-    #: Synchronization-only happens-before clock of this event, or ``None``
-    #: on an unordered bus.  ``hb[t]`` counts thread ``t``'s messages in
-    #: this event's sync-HB past (its own thread's component is its 1-based
-    #: position in that thread's delivered stream).
-    hb: Optional[tuple[int, ...]]
+    #: Synchronization-only happens-before clock of this event.  ``hb[t]``
+    #: counts thread ``t``'s messages in this event's sync-HB past (its own
+    #: thread's component is its 1-based position in that thread's
+    #: delivered stream).
+    hb: tuple[int, ...]
 
     @property
     def thread(self) -> int:
@@ -74,7 +71,6 @@ class BusEvent:
 def hb_precedes(a: BusEvent, b: BusEvent) -> bool:
     """``a`` happens-before ``b`` under the sync-only order (Theorem 3
     shape: compare ``a``'s own component)."""
-    assert a.hb is not None and b.hb is not None
     return a.hb[a.thread] <= b.hb[a.thread]
 
 
@@ -88,26 +84,13 @@ class AnalysisBus:
     Args:
         n_threads: MVC width of the monitored program.
         engines: the consumers, in verdict order.
-        ordered: is the input a linear extension of ⊳?  True when fed from
-            causal-delivery releases (the fault-tolerant observer and every
-            multi-engine pipeline); False only on the strict observer's
-            legacy raw-arrival path, which is restricted to engines that
-            buffer internally (``requires_order=False``).
     """
 
-    def __init__(self, n_threads: int, engines: Sequence[AnalysisEngine],
-                 ordered: bool = True):
+    def __init__(self, n_threads: int, engines: Sequence[AnalysisEngine]):
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
         self._n = n_threads
-        self._ordered = ordered
         self.engines: tuple[AnalysisEngine, ...] = tuple(engines)
-        for e in self.engines:
-            if e.requires_order and not ordered:
-                raise EngineError(
-                    f"engine {e.name!r} requires causally-ordered input but "
-                    "the bus is fed raw arrivals; route it through causal "
-                    "delivery")
         self._index = 0
         # sync-only HB state: one clock per thread, one cumulative clock
         # per sync variable (join of all its sync accesses so far)
@@ -137,22 +120,19 @@ class AnalysisBus:
 
     def annotate(self, msg: Message) -> BusEvent:
         """Compute this message's shared annotations (once)."""
-        clock = tuple(msg.clock)
-        hb: Optional[tuple[int, ...]] = None
-        if self._ordered:
-            t = msg.thread
-            c = self._tclk[t]
-            c[t] += 1
-            e = msg.event
-            if e.kind in _SYNC_KINDS:
-                sc = self._sync.get(e.var)
-                if sc is not None:
-                    for i in range(self._n):
-                        if sc[i] > c[i]:
-                            c[i] = sc[i]
-                self._sync[e.var] = list(c)
-            hb = tuple(c)
-        ev = BusEvent(msg=msg, index=self._index, clock=clock, hb=hb)
+        t = msg.thread
+        c = self._tclk[t]
+        c[t] += 1
+        e = msg.event
+        if e.kind in _SYNC_KINDS:
+            sc = self._sync.get(e.var)
+            if sc is not None:
+                for i in range(self._n):
+                    if sc[i] > c[i]:
+                        c[i] = sc[i]
+            self._sync[e.var] = list(c)
+        ev = BusEvent(msg=msg, index=self._index, clock=tuple(msg.clock),
+                      hb=tuple(c))
         self._index += 1
         return ev
 
@@ -160,7 +140,10 @@ class AnalysisBus:
 
     def feed(self, msg: Message) -> list[Any]:
         """Annotate one message and fan it out; returns every engine's new
-        findings, concatenated in engine order."""
+        findings, concatenated in engine order.  With no engines nothing
+        reads the annotation, so none is computed."""
+        if not self.engines:
+            return []
         ev = self.annotate(msg)
         new: list[Any] = []
         for i, engine in enumerate(self.engines):
@@ -175,7 +158,7 @@ class AnalysisBus:
     def feed_batch(self, msgs: Sequence[Message]) -> list[Any]:
         """Annotate a batch once, then one ``feed_batch`` per engine —
         the amortized end-to-end path (same results as per-message)."""
-        if not msgs:
+        if not msgs or not self.engines:
             return []
         evs = [self.annotate(m) for m in msgs]
         new: list[Any] = []
@@ -232,7 +215,6 @@ class AnalysisBus:
     def snapshot(self) -> dict:
         return {
             "events": self._index,
-            "ordered": self._ordered,
             "finished": self._finished,
             "engines": [e.snapshot() for e in self.engines],
         }

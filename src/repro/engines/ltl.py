@@ -1,24 +1,23 @@
-"""Past-time LTL prediction as a bus engine.
+"""Past-time LTL prediction as a bus engine (the paper's analysis, §4).
 
-A thin adapter: :class:`~repro.analysis.predictive.OnlinePredictor` is
-ported onto the :class:`~repro.engines.base.AnalysisEngine` interface
-**unchanged** — same lattice builder, same violation objects, same
-counterexample text — so a single-engine bus is bit-for-bit equivalent to
-the pre-bus ``Observer → OnlinePredictor`` pipeline (gated by the
-differential-replay corpus).  The lattice buffers and reorders messages
-internally, so this is the one engine that tolerates raw arrival order
-(``requires_order=False``).
+The engine owns a :class:`~repro.lattice.levels.LevelByLevelBuilder`: it
+feeds the builder the bus's causally-ordered messages, builds the
+computation lattice level by level, and reports each predicted violation
+the moment the buffered prefix proves it.  Offline
+:func:`~repro.analysis.predictive.predict` sweeps the same builder over a
+whole execution, so the two agree on violations and lattice statistics.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from ..analysis.predictive import OnlinePredictor
+from ..analysis.predictive import _initial_state, _resolve_monitor
 from ..core.events import VarName
-from ..lattice.levels import BuilderStats, Violation
+from ..lattice.levels import BuilderStats, LevelByLevelBuilder, Violation
 from ..logic.monitor import Monitor
-from .base import AnalysisEngine, EngineError, register_engine
+from .base import AnalysisEngine, EngineError, compute_degraded_windows, \
+    register_engine
 from .bus import BusEvent
 
 __all__ = ["LtlEngine"]
@@ -29,64 +28,78 @@ class LtlEngine(AnalysisEngine):
 
     name = "ltl"
     version = "1"
-    requires_order = False
 
     def __init__(self, n_threads: int, initial: Mapping[VarName, Any],
                  spec: "str | Monitor", track_paths: bool = True):
         super().__init__()
-        self._spec_text = spec if isinstance(spec, str) else None
-        self._predictor = OnlinePredictor(n_threads, initial, spec,
-                                          track_paths=track_paths)
-        monitor = self._predictor._monitor
+        monitor = _resolve_monitor(spec)
         self._variables = sorted(monitor.variables)
-        if self._spec_text is None:
-            self._spec_text = str(monitor.formula)
+        self._spec_text = spec if isinstance(spec, str) \
+            else str(monitor.formula)
+        self._builder = LevelByLevelBuilder(
+            n_threads, _initial_state(initial, self._variables), monitor,
+            track_paths=track_paths)
+        self._reported = 0
 
     # -- streaming ------------------------------------------------------------
 
     def feed(self, ev: BusEvent) -> list[Violation]:
-        return self._predictor.feed(ev.msg)
+        self._builder.feed(ev.msg)
+        return self._drain()
 
     def feed_batch(self, evs: Sequence[BusEvent]) -> list[Violation]:
-        return self._predictor.feed_batch([ev.msg for ev in evs])
+        """Buffer the whole batch, then advance the lattice once (same
+        final state and violations as feeding one by one)."""
+        self._builder.feed_many(ev.msg for ev in evs)
+        return self._drain()
 
     def finish(self) -> list[Violation]:
         self._finished = True
-        return self._predictor.finish()
+        self._builder.finish()
+        return self._drain()
 
     def finish_partial(
         self,
         delivered_counts: Sequence[int],
         expected_counts: Optional[Sequence[int]] = None,
     ) -> list[Violation]:
-        """The predictor has native partial semantics (it closes the
-        delivered sub-lattice); reuse it and adopt its window accounting."""
+        """Close the delivered sub-lattice: each thread is declared to end
+        at its delivered count (a consistent cut, since causal delivery
+        releases a message only after its causal past), so the levels
+        complete instead of stalling on the gaps; verdicts on the prefix
+        are exact."""
         self._finished = True
-        new = self._predictor.finish_partial(delivered_counts,
-                                             expected_counts)
-        self._degraded = self._predictor.degraded_windows
+        self._degraded = compute_degraded_windows(delivered_counts,
+                                                  expected_counts)
+        for thread, delivered in enumerate(delivered_counts):
+            self._builder.mark_thread_done(thread, delivered)
+        self._builder.finish()
+        return self._drain()
+
+    def _drain(self) -> list[Violation]:
+        new = self._builder.violations[self._reported:]
+        self._reported = len(self._builder.violations)
         return new
 
     # -- results --------------------------------------------------------------
 
     @property
     def violations(self) -> list[Violation]:
-        return self._predictor.violations
+        return list(self._builder.violations)
 
     @property
     def stats(self) -> BuilderStats:
-        return self._predictor.stats
+        return self._builder.stats
 
     def counterexamples(self) -> list[str]:
-        return [v.pretty(self._variables)
-                for v in self._predictor.violations]
+        return [v.pretty(self._variables) for v in self._builder.violations]
 
     def spec_text(self) -> str:
         return self._spec_text
 
     def snapshot(self) -> dict:
         d = super().snapshot()
-        s = self._predictor.stats
+        s = self._builder.stats
         d.update(levels=s.levels_completed, nodes=s.nodes_expanded,
                  buffered=s.messages_buffered)
         return d

@@ -170,7 +170,6 @@ class PatternEngine(AnalysisEngine):
 
     name = "pattern"
     version = "1"
-    requires_order = True
 
     def __init__(self, n_threads: int, pattern: str):
         super().__init__()
@@ -194,7 +193,7 @@ class PatternEngine(AnalysisEngine):
     def feed(self, ev: BusEvent) -> list[PatternMatch]:
         if ev.hb is None:
             raise ValueError(
-                "pattern engine needs sync-HB annotations (ordered bus)")
+                "pattern engine needs sync-HB annotations (AnalysisBus)")
         self._events += 1
         e = ev.event
         hb = ev.hb

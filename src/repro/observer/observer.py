@@ -134,15 +134,13 @@ class Observer:
             ``"pattern:<steps>"``; see :mod:`repro.engines`) and/or
             already-built :class:`~repro.engines.base.AnalysisEngine`
             instances.  All engines ride one :class:`AnalysisBus`: clocks
-            are computed once per delivered message and fanned out.  When
-            any engine requires causal order, ingestion is routed through
-            the causal-delivery buffer even in strict mode; a pure-LTL
-            strict observer keeps the classic raw-arrival feed (the lattice
-            reorders internally), so the single-engine pipeline is
-            bit-for-bit the pre-bus one.
-        fault_tolerant: route ingestion through the causal-delivery buffer
-            and tolerate loss/duplication/corruption instead of raising.
-            The analyzer then only ever sees causally-delivered messages.
+            are computed once per delivered message and fanned out.  Every
+            engine only ever sees causal-delivery releases (a linear
+            extension of ⊳), whatever the arrival order.
+        causal_log: keep every released message in :attr:`causal_log`.
+        fault_tolerant: tolerate loss/duplication/corruption instead of
+            raising; gaps are declared lost and analysis completes over
+            the delivered prefix (see :attr:`health`).
         stall_threshold: in fault-tolerant mode, declare the currently
             blocking gaps lost after this many consecutive ingests that
             release nothing while messages are parked (None = only declare
@@ -185,7 +183,6 @@ class Observer:
             # classic single-analysis observer
             built.append(LtlEngine(n_threads, initial_store, spec,
                                    track_paths=track_paths))
-        needs_order = any(e.requires_order for e in built)
         self._received = 0
         self._corrupted = 0
         self._finished = False
@@ -195,21 +192,14 @@ class Observer:
         self._stall_threshold = stall_threshold
         self._stalled_for = 0
         self._degraded_windows: tuple[DegradedWindow, ...] = ()
-        # Causally-ordered message log (a linear extension of ⊳, whatever
-        # the delivery order) — always maintained in fault-tolerant mode,
-        # where it doubles as the analyses' input stream, and whenever an
-        # engine requires causally-ordered input.
-        self._delivery: Optional[CausalDelivery] = None
+        # Causal delivery is the only way messages reach the engines: it
+        # buffers arrivals and releases a linear extension of ⊳.  The
+        # released order is also kept as a log on request (always in
+        # fault-tolerant mode).
+        self._delivery = CausalDelivery(n_threads)
         self._keep_log = causal_log or fault_tolerant
         self.causal_log: list[Message] = []
-        if causal_log or fault_tolerant or needs_order:
-            self._delivery = CausalDelivery(n_threads)
-        # Feed the bus from delivery releases whenever required (any
-        # order-requiring engine, or fault tolerance); the strict pure-LTL
-        # observer keeps feeding raw arrivals — the pre-bus pipeline.
-        self._feed_releases = fault_tolerant or needs_order
-        self._bus = AnalysisBus(n_threads, built,
-                                ordered=self._feed_releases)
+        self._bus = AnalysisBus(n_threads, built)
 
     # -- ingestion ------------------------------------------------------------
 
@@ -247,25 +237,17 @@ class Observer:
             msg = item
         if self._tolerant and msg.event.eid in self.causality:
             # duplicate: CausalDelivery counts it; nothing new to analyze
-            if self._delivery is not None:
-                self._delivery.offer(msg)
+            self._delivery.offer(msg)
             return []
         self.causality.add(msg)
-        if self._delivery is not None:
-            released = self._delivery.offer(msg)
-            if self._keep_log:
-                self.causal_log.extend(released)
-            if self._tolerant:
-                self._check_stall(bool(released))
-            if self._feed_releases:
-                new: list[Any] = []
-                for r in released:
-                    new.extend(self._bus.feed(r))
-                return new
-        return self._bus.feed(msg)
+        released = self._delivery.offer(msg)
+        if self._keep_log:
+            self.causal_log.extend(released)
+        if self._tolerant:
+            self._check_stall(bool(released))
+        return self._bus.feed_batch(released)
 
     def _check_stall(self, released_any: bool) -> None:
-        assert self._delivery is not None
         if released_any or self._delivery.pending == 0:
             self._stalled_for = 0
             return
@@ -340,7 +322,7 @@ class Observer:
                 msg = item
             # Pre-validate here so _analyze_batch never raises mid-segment
             # (which would commit the causality prefix without feeding the
-            # predictor — a state the per-item loop can never reach).
+            # engines — a state the per-item loop can never reach).
             if msg.clock.width != self._n:
                 flush()
                 raise ValueError(
@@ -371,24 +353,12 @@ class Observer:
                     fresh.append(m)
             if fresh:
                 self.causality.add_batch(fresh)
-            assert self._delivery is not None
-            released = self._delivery.offer_batch(msgs)
-            if self._keep_log:
-                self.causal_log.extend(released)
-            if released:
-                return self._bus.feed_batch(released)
-            return []
-        self.causality.add_batch(msgs)
-        released = None
-        if self._delivery is not None:
-            released = self._delivery.offer_batch(msgs)
-            if self._keep_log:
-                self.causal_log.extend(released)
-        if self._feed_releases:
-            return self._bus.feed_batch(released) if released else []
-        # strict mode feeds the bus raw arrivals (not releases), matching
-        # the per-item path
-        return self._bus.feed_batch(msgs)
+        else:
+            self.causality.add_batch(msgs)
+        released = self._delivery.offer_batch(msgs)
+        if self._keep_log:
+            self.causal_log.extend(released)
+        return self._bus.feed_batch(released)
 
     def rebuild(self, messages: Iterable[Union[Message, Envelope]]) -> int:
         """Crash-recovery hook: replay an archived prefix to reconstruct
@@ -435,7 +405,9 @@ class Observer:
     ) -> list[Any]:
         """End of stream: every engine completes its final checks.
 
-        In fault-tolerant mode, remaining gaps are declared lost —
+        In strict mode (the default) every message still parked behind a
+        gap makes this raise — the perfect-channel contract.  In
+        fault-tolerant mode, remaining gaps are declared lost —
         precisely, when ``expected_totals`` (true per-thread message
         counts, e.g. from end-of-thread markers) is given, every expected
         slot that never arrived; otherwise every slot still blocking a
@@ -445,15 +417,19 @@ class Observer:
         with self._lock:
             self._finished = True
             with _tracing.span("observer.finish"):
-                if not self._tolerant:
-                    return self._bus.finish()
-                return self._finish_tolerant(expected_totals)
+                if self._tolerant:
+                    return self._finish_tolerant(expected_totals)
+                if self._delivery.pending:
+                    raise RuntimeError(
+                        "stream closed with missing relevant messages; "
+                        f"{self._delivery.pending} message(s) wait on a gap "
+                        "in some thread's chain")
+                return self._bus.finish()
 
     def _finish_tolerant(
         self, expected_totals: Optional[Sequence[int]]
     ) -> list[Any]:
         d = self._delivery
-        assert d is not None
         if expected_totals is not None:
             if len(expected_totals) != self._n:
                 raise ValueError(
@@ -536,12 +512,6 @@ class Observer:
 
     def _health(self) -> ObserverHealth:
         d = self._delivery
-        if d is None:
-            return ObserverHealth(
-                received=self._received, delivered=self._received,
-                duplicates_dropped=0, corrupted=self._corrupted,
-                losses=(), quarantined=0, pending=0, late_arrivals=0,
-            )
         return ObserverHealth(
             received=self._received,
             delivered=sum(d.delivered_counts),

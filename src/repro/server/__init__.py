@@ -4,9 +4,8 @@ The paper's architecture (Fig. 1) pairs each instrumented program with its
 own observer process.  This package generalises that to a long-running
 daemon — ``repro serve`` — that accepts many concurrent client
 connections over the reliable transport, assigns each a *session* with its
-own :class:`~repro.observer.observer.Observer` and
-:class:`~repro.analysis.predictive.OnlinePredictor`, and analyses all of
-them on a bounded worker pool.  Sessions get explicit lifecycle states,
+own :class:`~repro.observer.observer.Observer` and its analysis engines,
+and analyses all of them on a bounded worker pool.  Sessions get explicit lifecycle states,
 admission control (attaches past capacity are rejected with a reason, not
 stalled), backpressure (bounded per-session ingest queues that withhold
 acks when full), graceful drain on shutdown, and a line-JSON status

@@ -2,8 +2,7 @@
 
 A session owns everything single-program about the pipeline — an
 :class:`~repro.observer.observer.Observer` (with its
-:class:`~repro.analysis.predictive.OnlinePredictor` when the client sent a
-spec) plus a bounded ingest queue between the connection's reader thread
+:class:`~repro.engines.ltl.LtlEngine` when the client sent a spec) plus a bounded ingest queue between the connection's reader thread
 and the analysis worker pool.  Lifecycle::
 
     HANDSHAKE ──▶ STREAMING ──▶ DRAINING ──▶ FINISHED

@@ -1,7 +1,7 @@
 """Supervised sessions: per-session analysis in a restartable subprocess.
 
 With ``ServerConfig(supervised=True)`` each admitted session runs its
-``CausalDelivery → Observer → OnlinePredictor`` pipeline inside a spawned
+``Observer → CausalDelivery → engines`` pipeline inside a spawned
 worker process instead of on the daemon's thread pool.  The parent keeps
 a *retained buffer* of every event since the last durable checkpoint, so
 a crashed worker (segfault, OOM kill, SIGKILL) is detected by heartbeat

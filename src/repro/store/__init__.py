@@ -8,7 +8,7 @@ segments — :mod:`repro.store.format`) plus a **catalog**
 count, event count, the live verdict and the final per-thread vector
 clocks.  Because the analysis is a deterministic function of the message
 stream, :mod:`repro.store.replay` can feed any archived trace back through
-``CausalDelivery`` → ``Observer`` → ``OnlinePredictor`` and reproduce the
+``Observer`` → ``CausalDelivery`` → analysis engines and reproduce the
 live verdict bit-for-bit — or re-analyze it under a *different* spec
 without re-running the program.  :mod:`repro.store.gc` bounds the archive
 by age, size and count.

@@ -358,7 +358,7 @@ class TraceArchive:
 
         monitor = Monitor(spec) if spec else None
         observer = Observer(n_threads, initial, spec=monitor,
-                            causal_log=True, engines=engines)
+                            engines=engines)
         pending = self.begin(program, n_threads, initial, spec=spec)
         t0 = time.perf_counter()
         try:

@@ -3,8 +3,9 @@
 The message stream *is* the analysis input — Algorithm A's messages carry
 the clocks, the values, everything (the paper's observer works "online or
 offline" for exactly this reason).  So feeding an archived stream back
-through the same pipeline — ``CausalDelivery`` → ``Observer`` →
-``OnlinePredictor`` — must reproduce the live verdict **bit-for-bit**:
+through the same pipeline — ``Observer`` → ``CausalDelivery`` →
+``AnalysisBus`` → engines — must reproduce the live verdict
+**bit-for-bit**:
 same violation count, same counterexample texts in the same order, same
 final per-thread vector clocks, same soundness claim.  Nothing about the
 analysis depends on wall time, thread scheduling, or the machine; only on
@@ -111,17 +112,16 @@ def replay_trace(path: str | Path, spec: Optional[str] = None,
     a spec string re-analyzes the stream against that property.
     ``engines`` selects explicit analysis engines (see
     :mod:`repro.engines`) instead of the spec-implied single LTL engine —
-    the differential-replay case.  The observer routes every message
-    through its causal-delivery buffer (``causal_log=True``) — the exact
-    ingestion path of a live session — and the result carries the final
-    per-thread vector clocks, taken from each thread's last message.
+    the differential-replay case.  The observer is the one a live session
+    runs, so every message takes the same causal-delivery path; the result
+    carries the final per-thread vector clocks, taken from each thread's
+    last message.
     """
     stream = iter_trace(path)
     header = next(stream)
     assert isinstance(header, TraceHeader)
     monitor = Monitor(spec) if spec else None
     observer = Observer(header.n_threads, header.initial, spec=monitor,
-                        causal_log=True,
                         engines=list(engines) if engines else None)
     final_clocks = [(0,) * header.n_threads
                     for _ in range(header.n_threads)]

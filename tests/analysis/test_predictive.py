@@ -1,12 +1,15 @@
 """Predictive analyzer: soundness/completeness against ground truth, engine
-agreement (levels vs full), and the online streaming façade."""
+agreement (levels vs full), and the online streaming path (an observer's
+LTL engine)."""
 
 import random
 
 import pytest
 
-from repro.analysis import OnlinePredictor, detect, predict
+from repro.analysis import detect, predict
+from repro.engines import AnalysisBus, LtlEngine
 from repro.logic import Monitor
+from repro.observer import Observer
 from repro.sched import FixedScheduler, RandomScheduler, explore_all, run_program
 from repro.workloads import (
     AUDIT_PROPERTY,
@@ -143,26 +146,21 @@ class TestReportFields:
         assert clean.ok and not clean.predicted
 
 
-class TestOnlinePredictor:
+class TestLtlEngineStreaming:
     def test_streaming_violation_discovery(self, xyz_execution):
-        pred = OnlinePredictor(2, xyz_execution.initial_store, XYZ_PROPERTY)
+        obs = Observer(2, xyz_execution.initial_store, spec=XYZ_PROPERTY)
         seen = []
         for m in xyz_execution.messages:
-            seen.extend(pred.feed(m))
-        seen.extend(pred.finish())
+            seen.extend(obs.receive(m))
+        seen.extend(obs.finish())
         assert len(seen) == 1
-        assert pred.violations == seen
-
-    def test_thread_done_markers_enable_early_results(self, xyz_execution):
-        pred = OnlinePredictor(2, xyz_execution.initial_store, XYZ_PROPERTY)
-        for m in xyz_execution.messages:
-            pred.feed(m)
-        new = pred.mark_thread_done(0, 2) + pred.mark_thread_done(1, 2)
-        assert len(new) == 1  # violation surfaced without finish()
+        assert obs.violations == seen
 
     def test_stats_exposed(self, xyz_execution):
-        pred = OnlinePredictor(2, xyz_execution.initial_store, XYZ_PROPERTY)
+        engine = LtlEngine(2, xyz_execution.initial_store, XYZ_PROPERTY)
+        bus = AnalysisBus(2, [engine])
         for m in xyz_execution.messages:
-            pred.feed(m)
-        pred.finish()
-        assert pred.stats.nodes_expanded == 7
+            bus.feed(m)
+        bus.finish()
+        assert engine.stats.nodes_expanded == 7
+        assert engine.snapshot()["nodes"] == 7

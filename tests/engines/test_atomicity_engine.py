@@ -35,7 +35,7 @@ def run(threads, initial, schedule=None):
 
 def feed(execution, engine=None, finish=True):
     engine = engine or AtomicityEngine(execution.n_threads)
-    bus = AnalysisBus(execution.n_threads, [engine], ordered=True)
+    bus = AnalysisBus(execution.n_threads, [engine])
     for m in execution.messages:
         bus.feed(m)
     if finish:
@@ -133,7 +133,7 @@ class TestEmissionTiming:
         ex = run([region_reader(), straightline([Write("x", 1)])],
                  {"x": 0, "L": 0})
         engine = AtomicityEngine(ex.n_threads)
-        bus = AnalysisBus(ex.n_threads, [engine], ordered=True)
+        bus = AnalysisBus(ex.n_threads, [engine])
         emitted_at = []
         for m in ex.messages:
             if bus.feed(m):
@@ -204,14 +204,14 @@ class TestBatchParity:
     def test_feed_batch_equals_feed(self, seed):
         ex = lock_execution(seed)
         one = AtomicityEngine(ex.n_threads)
-        bus_one = AnalysisBus(ex.n_threads, [one], ordered=True)
+        bus_one = AnalysisBus(ex.n_threads, [one])
         found_one = []
         for m in ex.messages:
             found_one.extend(bus_one.feed(m))
         found_one.extend(bus_one.finish())
 
         many = AtomicityEngine(ex.n_threads)
-        bus_many = AnalysisBus(ex.n_threads, [many], ordered=True)
+        bus_many = AnalysisBus(ex.n_threads, [many])
         found_many = []
         msgs = list(ex.messages)
         for i in range(0, len(msgs), 5):

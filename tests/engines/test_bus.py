@@ -2,8 +2,8 @@
 
 Pins down the bus contract — annotations are computed once and shared by
 identity, the online sync-HB clocks agree with the offline
-``Computation(causality="sync")`` oracle, ordering requirements are
-enforced at registration, and graceful degradation reaches every engine.
+``Computation(causality="sync")`` oracle, an engine-less bus does no
+work, and graceful degradation reaches every engine.
 """
 
 import pytest
@@ -34,9 +34,8 @@ class RecordingEngine(AnalysisEngine):
     name = "recorder"
     version = "t"
 
-    def __init__(self, requires_order=True):
+    def __init__(self):
         super().__init__()
-        self.requires_order = requires_order
         self.seen = []
 
     def feed(self, ev):
@@ -51,7 +50,7 @@ class TestFanOut:
     def test_every_engine_sees_the_same_annotated_event(self):
         ex = lock_execution(0)
         a, b = RecordingEngine(), RecordingEngine()
-        bus = AnalysisBus(ex.n_threads, [a, b], ordered=True)
+        bus = AnalysisBus(ex.n_threads, [a, b])
         for m in ex.messages:
             bus.feed(m)
         assert len(a.seen) == len(b.seen) == len(ex.messages)
@@ -66,7 +65,7 @@ class TestFanOut:
     def test_feed_batch_annotates_once_and_shares(self):
         ex = lock_execution(1)
         a, b = RecordingEngine(), RecordingEngine()
-        bus = AnalysisBus(ex.n_threads, [a, b], ordered=True)
+        bus = AnalysisBus(ex.n_threads, [a, b])
         bus.feed_batch(list(ex.messages))
         assert bus.events_fed == len(ex.messages)
         for ea, eb in zip(a.seen, b.seen):
@@ -84,7 +83,7 @@ class TestFanOut:
 
         bus_exec = lock_execution(2)
         bus = AnalysisBus(bus_exec.n_threads,
-                          [Finder("first"), Finder("second")], ordered=True)
+                          [Finder("first"), Finder("second")])
         found = bus.feed(bus_exec.messages[0])
         assert found == ["first", "second"]
 
@@ -94,7 +93,7 @@ class TestSyncHappensBefore:
     def test_agrees_with_offline_sync_computation(self, seed):
         ex = lock_execution(seed)
         rec = RecordingEngine()
-        bus = AnalysisBus(ex.n_threads, [rec], ordered=True)
+        bus = AnalysisBus(ex.n_threads, [rec])
         for m in ex.messages:
             bus.feed(m)
         comp = Computation(ex.events, causality="sync")
@@ -105,27 +104,14 @@ class TestSyncHappensBefore:
                                                               b.event)
                 assert hb_precedes(a, b) == comp.precedes(a.event, b.event)
 
-    def test_unordered_bus_skips_hb_annotation(self):
-        ex = lock_execution(0)
-        rec = RecordingEngine(requires_order=False)
-        bus = AnalysisBus(ex.n_threads, [rec], ordered=False)
-        bus.feed(ex.messages[0])
-        assert rec.seen[0].hb is None
-
 
 class TestOrderingContract:
-    def test_unordered_bus_rejects_order_requiring_engine(self):
-        with pytest.raises(EngineError, match="requires causally-ordered"):
-            AnalysisBus(2, [AtomicityEngine(2)], ordered=False)
-        with pytest.raises(EngineError):
-            AnalysisBus(2, [PatternEngine(2, "W(x);R(x)")], ordered=False)
-
-    def test_ltl_engine_tolerates_raw_arrival_order(self):
-        # the lattice buffers internally, so the legacy strict pipeline
-        # (raw arrivals, no delivery buffer) stays valid for it
-        bus = AnalysisBus(2, [LtlEngine(2, {"x": 0}, "x >= 0")],
-                          ordered=False)
-        assert bus.engines[0].requires_order is False
+    def test_engineless_bus_does_not_annotate(self):
+        ex = lock_execution(0)
+        bus = AnalysisBus(ex.n_threads, [])
+        assert bus.feed(ex.messages[0]) == []
+        assert bus.feed_batch(list(ex.messages[1:])) == []
+        assert bus.events_fed == 0
 
     def test_rejects_zero_threads(self):
         with pytest.raises(ValueError):
@@ -137,7 +123,7 @@ class TestGracefulDegradation:
         ex = lock_execution(3)
         engines = [AtomicityEngine(ex.n_threads),
                    PatternEngine(ex.n_threads, "W(v0);R(v0)")]
-        bus = AnalysisBus(ex.n_threads, engines, ordered=True)
+        bus = AnalysisBus(ex.n_threads, engines)
         counts = [0] * ex.n_threads
         for m in ex.messages[: len(ex.messages) // 2]:
             bus.feed(m)
@@ -152,8 +138,7 @@ class TestGracefulDegradation:
 
     def test_finish_keeps_verdicts_sound(self):
         ex = lock_execution(3)
-        bus = AnalysisBus(ex.n_threads, [AtomicityEngine(ex.n_threads)],
-                          ordered=True)
+        bus = AnalysisBus(ex.n_threads, [AtomicityEngine(ex.n_threads)])
         for m in ex.messages:
             bus.feed(m)
         bus.finish()
@@ -245,7 +230,7 @@ class TestBusMetrics:
         try:
             engines = [AtomicityEngine(ex.n_threads),
                        PatternEngine(ex.n_threads, "W(v0);R(v0)")]
-            bus = AnalysisBus(ex.n_threads, engines, ordered=True)
+            bus = AnalysisBus(ex.n_threads, engines)
             for m in ex.messages:
                 bus.feed(m)
             bus.finish()
@@ -260,11 +245,9 @@ class TestBusMetrics:
 
     def test_snapshot_reports_every_engine(self):
         ex = lock_execution(5)
-        bus = AnalysisBus(ex.n_threads, [AtomicityEngine(ex.n_threads)],
-                          ordered=True)
+        bus = AnalysisBus(ex.n_threads, [AtomicityEngine(ex.n_threads)])
         bus.feed_batch(list(ex.messages))
         snap = bus.snapshot()
         assert snap["events"] == len(ex.messages)
-        assert snap["ordered"] is True
         assert snap["finished"] is False
         assert snap["engines"][0]["engine"] == "atomicity"

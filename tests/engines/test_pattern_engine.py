@@ -31,7 +31,7 @@ def run(threads, initial, schedule=None):
 
 def feed(execution, pattern):
     engine = PatternEngine(execution.n_threads, pattern)
-    bus = AnalysisBus(execution.n_threads, [engine], ordered=True)
+    bus = AnalysisBus(execution.n_threads, [engine])
     for m in execution.messages:
         bus.feed(m)
     bus.finish()
@@ -198,13 +198,13 @@ class TestBatchParity:
     def test_feed_batch_equals_feed(self, seed):
         ex = lock_execution(seed)
         one = PatternEngine(ex.n_threads, "W(v0);R(v0);W(v1)")
-        bus_one = AnalysisBus(ex.n_threads, [one], ordered=True)
+        bus_one = AnalysisBus(ex.n_threads, [one])
         for m in ex.messages:
             bus_one.feed(m)
         bus_one.finish()
 
         many = PatternEngine(ex.n_threads, "W(v0);R(v0);W(v1)")
-        bus_many = AnalysisBus(ex.n_threads, [many], ordered=True)
+        bus_many = AnalysisBus(ex.n_threads, [many])
         msgs = list(ex.messages)
         for i in range(0, len(msgs), 7):
             bus_many.feed_batch(msgs[i:i + 7])

@@ -99,6 +99,17 @@ class TestOnlineBehavior:
         b.mark_thread_done(1, 2)
         assert b.complete  # no finish() needed
 
+    def test_thread_done_markers_enable_early_results(self, xyz_execution):
+        """With a monitor, the markers surface the predicted violation
+        before the stream closes."""
+        initial = {v: xyz_execution.initial_store[v] for v in XYZ_VARS}
+        b = LevelByLevelBuilder(2, initial, Monitor(XYZ_PROPERTY))
+        b.feed_many(xyz_execution.messages)
+        assert b.violations == []
+        b.mark_thread_done(0, 2)
+        b.mark_thread_done(1, 2)
+        assert len(b.violations) == 1  # no finish() needed
+
     def test_mark_thread_done_validation(self):
         b = LevelByLevelBuilder(2, {"x": 0})
         with pytest.raises(IndexError):

@@ -1,8 +1,8 @@
 """Batch-ingestion parity: every *_batch entry point vs its per-item twin.
 
-The end-to-end batching path (``CausalDelivery.offer_batch`` →
-``Observer.receive_batch`` → ``OnlinePredictor.feed_batch`` →
-``LevelByLevelBuilder.feed_many``) exists purely for throughput; these
+The end-to-end batching path (``Observer.receive_batch`` →
+``CausalDelivery.offer_batch`` → ``AnalysisBus.feed_batch`` →
+``LtlEngine.feed_batch`` → ``LevelByLevelBuilder.feed_many``) exists purely for throughput; these
 tests pin down that it is *observationally identical* to the per-item
 path — same releases in the same order, same causal log, same violations,
 same health report, same counters — across clean, shuffled and faulty
@@ -123,10 +123,10 @@ class TestDeliveryOfferBatch:
 
 class TestObserverReceiveBatch:
     @pytest.mark.parametrize("kwargs", [
-        {},                                         # strict, no delivery
-        {"causal_log": True},                       # strict + causal delivery
+        {},                                         # strict
+        {"causal_log": True},                       # strict + causal log
         {"fault_tolerant": True},                   # tolerant
-        {"spec": LANDING_PROPERTY},                 # strict + predictor
+        {"spec": LANDING_PROPERTY},                 # strict + ltl engine
         {"spec": LANDING_PROPERTY, "causal_log": True},
         {"spec": LANDING_PROPERTY, "fault_tolerant": True},
     ], ids=["plain", "log", "tolerant", "spec", "spec-log", "spec-tolerant"])
@@ -263,14 +263,15 @@ class TestCausalityAddBatch:
 
 
 class TestPredictorFeedBatch:
+    """The LTL engine's batched feed vs its per-message feed."""
+
     def test_same_violations_as_singles(self):
         ex = landing_messages()
-        from repro.analysis.predictive import OnlinePredictor
+        from repro.engines import AnalysisBus, LtlEngine
 
-        one = OnlinePredictor(ex.n_threads, ex.initial_store,
-                              LANDING_PROPERTY)
-        many = OnlinePredictor(ex.n_threads, ex.initial_store,
-                               LANDING_PROPERTY)
+        engines = [LtlEngine(ex.n_threads, ex.initial_store,
+                             LANDING_PROPERTY) for _ in range(2)]
+        one, many = (AnalysisBus(ex.n_threads, [e]) for e in engines)
         got_one = []
         for m in ex.messages:
             got_one.extend(one.feed(m))
@@ -278,7 +279,8 @@ class TestPredictorFeedBatch:
         got_one += one.finish()
         got_many += many.finish()
         assert [v.cut for v in got_one] == [v.cut for v in got_many]
-        assert one.stats.levels_completed == many.stats.levels_completed
+        assert engines[0].stats.levels_completed == \
+            engines[1].stats.levels_completed
 
     def test_builder_feed_many_matches_feed(self):
         from repro.lattice.levels import LevelByLevelBuilder

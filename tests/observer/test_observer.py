@@ -145,6 +145,37 @@ class TestCausalLog:
         assert obs.causal_log == []
 
 
+class TestStrictGap:
+    """A strict observer keeps the perfect-channel contract for every
+    engine selection: a message lost from the middle of a thread's chain
+    fails ``finish()`` instead of yielding a quietly partial verdict."""
+
+    @pytest.mark.parametrize("selection", [
+        {"spec": XYZ_PROPERTY},
+        {"engines": [f"ltl:{XYZ_PROPERTY}"]},
+        {"engines": ["atomicity"]},
+        {"spec": XYZ_PROPERTY, "engines": ["ltl", "atomicity"]},
+    ], ids=["spec", "ltl", "atomicity", "ltl+atomicity"])
+    def test_finish_raises_on_gap(self, xyz_execution, selection):
+        # eid (0, 2) is thread 0's first relevant message; its successor
+        # (0, 5) and everything after it in causality stay parked
+        kept = [m for m in xyz_execution.messages if m.event.eid != (0, 2)]
+        obs = Observer(2, {v: xyz_execution.initial_store[v]
+                           for v in XYZ_VARS}, **selection)
+        obs.receive_many(kept)
+        with pytest.raises(RuntimeError, match="missing relevant messages"):
+            obs.finish()
+
+    def test_health_counts_parked_messages(self, xyz_execution):
+        kept = [m for m in xyz_execution.messages if m.event.eid != (0, 2)]
+        obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
+        obs.receive_many(kept)
+        health = obs.health
+        assert (health.received, health.delivered, health.pending) == \
+            (3, 0, 3)
+        assert not health.sound_everywhere
+
+
 class TestSocketRobustness:
     def _send_raw(self, transport, lines):
         import socket as socket_mod

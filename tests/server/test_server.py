@@ -290,6 +290,9 @@ class TestServerMetrics:
                                              max_sessions=1)) as srv:
                 _attach_and_stream(srv, xyz_execution, xyz_initial,
                                    XYZ_PROPERTY)
+                # the first session must retire before the holder attaches
+                # into the single slot
+                assert srv.wait_idle(timeout=10.0)
                 with pytest.raises(ServerRejected):
                     # hold the slot open to force a rejection
                     holder = attach(srv.host, srv.port,

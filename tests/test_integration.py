@@ -66,14 +66,25 @@ def test_full_pipeline_consistency(seed, spec):
     assert bool(full.violations) == bool(levels.violations)
     assert full.observed_ok == levels.observed_ok == ok
 
-    # 4. Delivery reordering changes nothing.
+    # 4. Delivery reordering and batching change nothing: every observer
+    #    configuration reproduces the offline level-by-level sweep exactly.
     delivery = deliver_all(ReorderingChannel(seed=seed, window=4),
                            execution.messages)
     initial = {v: execution.initial_store[v] for v in variables}
-    obs = Observer(execution.n_threads, initial, spec=spec)
-    obs.receive_many(delivery)
-    obs.finish()
-    assert bool(obs.violations) == bool(levels.violations)
+    expected = [v.pretty(variables) for v in levels.violations]
+    for selection in ({"spec": spec},
+                      {"engines": [f"ltl:{spec}", "atomicity"]}):
+        for batch in (1, 3, 64):
+            obs = Observer(execution.n_threads, initial, **selection)
+            for i in range(0, len(delivery), batch):
+                obs.receive_batch(delivery[i:i + batch])
+            obs.finish()
+            where = (selection, batch)
+            assert obs.engines[0].counterexamples() == expected, where
+            assert obs.stats.nodes_expanded == \
+                levels.stats.nodes_expanded, where
+            assert obs.stats.levels_completed == \
+                levels.stats.levels_completed, where
 
 
 @given(st.integers(0, 2_000))
