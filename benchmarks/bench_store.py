@@ -6,17 +6,26 @@ Three questions a deployment asks of the store:
   write/read throughput and bytes per event;
 * what does deterministic replay cost relative to the live analysis it
   reproduces (the ``repro replay --all --expect-catalog`` budget);
-* does the archive round-trip scale linearly in events.
+* does the archive round-trip scale linearly in events;
+* does a commit's catalog cost stay flat as the archive grows.
 """
 
 import random
+import statistics
 import time
 
 from repro.core import AlgorithmA
 from repro.logic import Monitor
 from repro.observer.observer import Observer
 from repro.observer.trace import read_trace, write_trace
-from repro.store import SegmentWriter, TraceArchive, read_trace_v2, replay_entry
+from repro.store import (
+    Catalog,
+    CatalogEntry,
+    SegmentWriter,
+    TraceArchive,
+    read_trace_v2,
+    replay_entry,
+)
 from repro.store.replay import replay_trace
 
 from conftest import table
@@ -143,3 +152,48 @@ def test_replay_scaling(tmp_path):
           ["events", "wall s", "events/s"], rows)
     # linear: throughput at 16x the events stays within ~8x of the small run
     assert max(rates) / min(rates) < 8
+
+
+def seeded_archive(root, n):
+    """An archive whose catalog snapshot already indexes ``n`` entries."""
+    root.mkdir(parents=True)
+    catalog = Catalog(root / TraceArchive.CATALOG_NAME)
+    for k in range(n):
+        trace_id = catalog.allocate_id("bench")
+        catalog.add(CatalogEntry(
+            id=trace_id, program="bench", n_threads=N_THREADS, events=8,
+            verdict="clean", violations=0, counterexamples=(),
+            final_clocks=((0,) * N_THREADS,) * N_THREADS, sound=True,
+            wall_time_s=0.001, created_at=float(k), bytes=300,
+            path=f"traces/{trace_id}.rpt", spec=SPEC))
+    catalog.save()
+    return TraceArchive(root)
+
+
+def test_catalog_commit_cost_is_flat(tmp_path):
+    """One session's archive round trip (``begin`` + 8 writes + ``commit``)
+    at 10, 100 and 1,000 existing entries.  Each catalog mutation appends
+    one log record, so the cost must not grow with the catalog (a full
+    catalog rewrite per mutation made it linear)."""
+    msgs = make_messages(n=8)
+    reps = 15
+    rows, cpu = [], {}
+    for n in (10, 100, 1_000):
+        archive = seeded_archive(tmp_path / f"a{n}", n)
+        walls, cpus = [], []
+        for _ in range(reps):
+            w0, c0 = time.perf_counter(), time.process_time()
+            pending = archive.begin("bench", N_THREADS, initial_store(),
+                                    spec=SPEC)
+            for m in msgs:
+                pending.write(m)
+            pending.commit([], True, 0.001)
+            cpus.append(time.process_time() - c0)
+            walls.append(time.perf_counter() - w0)
+        assert len(archive) == n + reps
+        cpu[n] = statistics.median(cpus)
+        rows.append((n, f"{statistics.median(walls) * 1e3:.2f}",
+                     f"{cpu[n] * 1e3:.2f}"))
+    table("archive commit cost vs catalog size (median of 15 sessions)",
+          ["entries", "wall ms", "cpu ms"], rows)
+    assert cpu[1_000] < 3 * cpu[10]

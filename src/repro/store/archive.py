@@ -3,7 +3,8 @@
 Layout on disk::
 
     <root>/
-      catalog.json          # the index (repro.store.catalog)
+      catalog.json          # the index snapshot (repro.store.catalog)
+      catalog.log           # one fsynced record per mutation since then
       traces/
         s000001-xyz.rpt     # v2 segment files, one per committed session
         s000002-bank.rpt.part   # in-flight writer (never cataloged)
@@ -19,7 +20,11 @@ Writing is two-phase so the catalog only ever names complete traces:
    deletes the partial file, leaving no trace of a failed session.
 
 All catalog mutation is serialized behind one archive-wide lock; the
-analysis server commits from its worker threads concurrently.
+analysis server commits from its worker threads concurrently.  Each
+mutation (``begin``, ``adopt_sealed``, the publish inside ``commit``,
+``remove``) appends one fsynced record to ``catalog.log``; the snapshot is
+rewritten only when the log outgrows it, so a commit's catalog cost does
+not grow with the archive.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ _C_GCED = _metrics.REGISTRY.counter(
     help="archived traces removed by retention GC")
 _C_REBUILT = _metrics.REGISTRY.counter(
     "store.catalog_rebuilds", unit="rebuilds",
-    help="corrupt catalog.json files quarantined and rebuilt from trace "
-         "footers on archive open")
+    help="corrupt catalog.json/catalog.log files quarantined and rebuilt "
+         "from trace footers on archive open")
 
 # Trace-id sequence extractor; tolerates an optional shard namespace
 # prefix (``sh00-s000001-xyz``) in front of the classic ``s000001-xyz``.
@@ -211,15 +216,18 @@ class PendingTrace:
 
 @dataclass
 class CatalogRebuildReport:
-    """What happened when a corrupt ``catalog.json`` was rebuilt."""
+    """What happened when a corrupt catalog was rebuilt."""
 
-    #: Where the damaged document was moved (never deleted).
-    quarantined_to: str
+    #: Where the ``catalog.json`` snapshot was moved (never deleted);
+    #: ``None`` when the damage was in a log with no snapshot beside it.
+    quarantined_to: Optional[str]
     #: Entries reconstructed from trace footers.
     rebuilt: int = 0
     #: ``(filename, reason)`` for traces that could not be re-indexed
     #: (sealed by a pre-footer-extras writer, or damaged).
     skipped: list[tuple[str, str]] = field(default_factory=list)
+    #: Where ``catalog.log`` was moved, if there was one.
+    log_quarantined_to: Optional[str] = None
 
 
 class TraceArchive:
@@ -234,13 +242,13 @@ class TraceArchive:
             one fleet-wide id space and query results never collide.
 
     Thread-safe: catalog reads and mutations are serialized behind one
-    lock, and every mutation persists the catalog atomically before
-    returning.
+    lock, and every mutation appends one fsynced ``catalog.log`` record
+    before returning.  Opening writes nothing unless it must rebuild.
 
-    A truncated or otherwise unreadable ``catalog.json`` does not prevent
-    the archive from opening: the damaged document is *quarantined*
-    (renamed alongside, never deleted) and the catalog is rebuilt from the
-    verdicts embedded in each sealed trace's footer —
+    A truncated or otherwise unreadable ``catalog.json`` or ``catalog.log``
+    does not prevent the archive from opening: the damaged files are
+    *quarantined* (renamed alongside, never deleted) and the catalog is
+    rebuilt from the verdicts embedded in each sealed trace's footer —
     :attr:`last_rebuild` reports what was recovered and what had to be
     skipped.
     """
@@ -264,22 +272,25 @@ class TraceArchive:
 
     # -- catalog recovery -----------------------------------------------------
 
-    def _quarantine_catalog(self) -> Path:
-        src = self.root / self.CATALOG_NAME
-        dst = self.root / (self.CATALOG_NAME + ".quarantined")
+    def _quarantine(self, src: Path) -> Optional[str]:
+        if not src.exists():
+            return None
+        dst = src.with_name(src.name + ".quarantined")
         n = 1
         while dst.exists():
-            dst = self.root / (self.CATALOG_NAME + f".quarantined.{n}")
+            dst = src.with_name(src.name + f".quarantined.{n}")
             n += 1
         os.replace(src, dst)
-        return dst
+        return str(dst)
 
     def _rebuild_catalog(self) -> tuple[Catalog, CatalogRebuildReport]:
-        """The corrupt-catalog recovery path: move the damaged document
-        aside and re-index every sealed trace from its footer verdict."""
-        quarantined = self._quarantine_catalog()
-        report = CatalogRebuildReport(quarantined_to=str(quarantined))
+        """The corrupt-catalog recovery path: move the damaged snapshot
+        and log aside and re-index every sealed trace from its footer
+        verdict."""
         catalog = Catalog(self.root / self.CATALOG_NAME)
+        report = CatalogRebuildReport(
+            quarantined_to=self._quarantine(catalog.path),
+            log_quarantined_to=self._quarantine(catalog.log_path))
         max_seq = 0
         for trace_path in sorted(self.traces_dir.glob("*.rpt")):
             trace_id = trace_path.stem
@@ -331,14 +342,14 @@ class TraceArchive:
         with self._lock:
             trace_id = self._catalog.allocate_id(program,
                                                  namespace=self.namespace)
-            self._catalog.save()   # ids survive a restart mid-recording
+            self._catalog.log_seq()   # ids survive a restart mid-recording
         return PendingTrace(self, trace_id, n_threads, initial,
                             program=program, spec=spec)
 
     def _publish(self, entry: CatalogEntry) -> None:
         with self._lock:
             self._catalog.add(entry)
-            self._catalog.save()
+            self._catalog.log_add(entry)
 
     def record_messages(self, program: str, n_threads: int,
                         initial: Mapping[VarName, Any], messages,
@@ -399,7 +410,7 @@ class TraceArchive:
             trace_id = self._catalog.allocate_id(
                 meta.catalog.get("program", meta.header.program),
                 namespace=self.namespace)
-            self._catalog.save()
+            self._catalog.log_seq()
         final = self.traces_dir / f"{trace_id}.rpt"
         shutil.move(str(sealed_path), final)
         if wall_time_s is not None:
@@ -446,7 +457,7 @@ class TraceArchive:
         a crash in between leaves an orphan file, never a dangling entry."""
         with self._lock:
             entry = self._catalog.remove(entry_id)
-            self._catalog.save()
+            self._catalog.log_remove(entry_id)
         try:
             self.path_of(entry).unlink()
         except OSError:

@@ -9,22 +9,52 @@ quantities the deterministic replay engine must reproduce bit-for-bit, so
 the catalog doubles as the expected-output side of the regression corpus
 (``repro replay --all --expect-catalog``).
 
-Persistence is one JSON document (``catalog.json`` at the archive root),
-written atomically (temp file + ``os.replace``) so a crash mid-save never
-leaves a truncated catalog next to intact trace files.
+Persistence is a snapshot plus an append-only log, side by side at the
+archive root:
+
+* ``catalog.json`` — the snapshot: one JSON document, written atomically
+  (temp file + fsync + ``os.replace``) so a crash mid-save never leaves a
+  truncated catalog next to intact trace files;
+* ``catalog.log`` — the mutations since that snapshot, one
+  newline-terminated JSON record each, fsynced before the mutation
+  returns: ``{"op": "seq", "next_seq": N}``, ``{"op": "add", "entry":
+  {...}}`` and ``{"op": "remove", "id": ...}``.
+
+:meth:`Catalog.load` reads the snapshot, then replays the log.
+:meth:`Catalog.save` is the compaction step — rewrite the snapshot, empty
+the log — and a log append runs it only once the log holds more records
+than ``max(1, len(catalog))``: the log never outgrows the snapshot, and a
+mutation costs amortized O(1) instead of a full rewrite.  Replay is
+idempotent (``seq`` takes the maximum, ``add`` overwrites, ``remove`` of
+an absent id is a no-op), so records a crash left behind between the
+snapshot rename and the log truncation apply harmlessly twice.
+
+A final record without its newline is a torn append (the writer died
+mid-write): :meth:`Catalog.load` drops it and the next append truncates
+it away.  Any other unreadable record raises :class:`CatalogError`, which
+sends the archive down its quarantine-and-rebuild path.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
+
+from ..obs import metrics as _metrics
 
 __all__ = ["CatalogEntry", "CatalogQuery", "Catalog", "CatalogError"]
 
 _CATALOG_VERSION = 1
+
+_C_APPENDS = _metrics.REGISTRY.counter(
+    "store.catalog_appends", unit="records",
+    help="catalog mutations appended (and fsynced) to catalog.log")
+_C_COMPACTIONS = _metrics.REGISTRY.counter(
+    "store.catalog_compactions", unit="snapshots",
+    help="catalog.json snapshots rewritten (log compaction or rebuild)")
 
 #: Catalog verdict strings (`CatalogEntry.verdict`).
 VERDICT_VIOLATION = "violation"
@@ -83,7 +113,9 @@ class CatalogEntry:
     engine_specs: tuple[Optional[str], ...] = ()
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # shallow: every field value is immutable (str, number, tuple), so
+        # the field dict equals ``dataclasses.asdict`` without its deep copy
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, doc: dict) -> "CatalogEntry":
@@ -181,42 +213,97 @@ class CatalogQuery:
 
 
 class Catalog:
-    """The archive's index document, with atomic persistence.
+    """The archive's index: a snapshot document plus an append-only log.
 
     Not thread-safe by itself — :class:`~repro.store.archive.TraceArchive`
-    serializes access behind its own lock.
+    serializes access behind its own lock.  One writer process per file.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self.log_path = self.path.with_suffix(".log")
         self.next_seq = 1
         self._entries: dict[str, CatalogEntry] = {}
+        #: Complete records in the log, and the byte offset just past the
+        #: last one — anything beyond it is a torn append.
+        self._log_records = 0
+        self._log_end = 0
+        self._torn = False
 
     # -- persistence ----------------------------------------------------------
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
-        """Read the catalog document; a missing file is an empty catalog."""
+        """Read the snapshot, then replay the log; missing files are empty.
+
+        A compaction racing this read can replace the snapshot after it
+        was read and empty the log before the log is read; that is seen
+        as a changed snapshot file and the catalog is read once more."""
         cat = cls(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            return cat
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("version") != _CATALOG_VERSION:
-            raise CatalogError(
-                f"catalog {path}: unsupported document version "
-                f"{doc.get('version') if isinstance(doc, dict) else doc!r}")
-        cat.next_seq = int(doc.get("next_seq", 1))
-        for raw in doc.get("entries", []):
-            entry = CatalogEntry.from_json(raw)
-            cat._entries[entry.id] = entry
+        seen = _file_id(cat.path)
+        cat._read_snapshot()
+        cat._replay_log()
+        if _file_id(cat.path) != seen:
+            cat = cls(path)
+            cat._read_snapshot()
+            cat._replay_log()
         return cat
 
+    def _read_snapshot(self) -> None:
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            return
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CatalogError(
+                f"cannot read catalog {self.path}: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("version") != _CATALOG_VERSION:
+            raise CatalogError(
+                f"catalog {self.path}: unsupported document version "
+                f"{doc.get('version') if isinstance(doc, dict) else doc!r}")
+        self.next_seq = int(doc.get("next_seq", 1))
+        for raw in doc.get("entries", []):
+            entry = CatalogEntry.from_json(raw)
+            self._entries[entry.id] = entry
+
+    def _replay_log(self) -> None:
+        try:
+            with open(self.log_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise CatalogError(
+                f"cannot read catalog log {self.log_path}: {exc}") from exc
+        end = data.rfind(b"\n") + 1
+        self._torn = end < len(data)
+        records = data[:end].split(b"\n")[:-1]
+        for n, raw in enumerate(records, 1):
+            try:
+                self._apply(json.loads(raw))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CatalogError(
+                    f"catalog log {self.log_path}: bad record {n}: "
+                    f"{exc}") from exc
+        self._log_records = len(records)
+        self._log_end = end
+
+    def _apply(self, record: dict) -> None:
+        op = record["op"]
+        if op == "seq":
+            self.next_seq = max(self.next_seq, int(record["next_seq"]))
+        elif op == "add":
+            entry = CatalogEntry.from_json(record["entry"])
+            self._entries[entry.id] = entry
+        elif op == "remove":
+            self._entries.pop(record["id"], None)
+        else:
+            raise ValueError(f"unknown op {op!r}")
+
     def save(self) -> None:
-        """Atomically write the document (temp file + rename)."""
+        """Compact: atomically write the snapshot (temp file + fsync +
+        rename), then empty the log it now covers."""
         doc = {
             "version": _CATALOG_VERSION,
             "next_seq": self.next_seq,
@@ -229,6 +316,48 @@ class Catalog:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        try:
+            os.truncate(self.log_path, 0)
+        except FileNotFoundError:
+            pass
+        self._log_records = self._log_end = 0
+        self._torn = False
+        if _metrics.ENABLED:
+            _C_COMPACTIONS.inc()
+
+    def log_seq(self) -> None:
+        """Persist ``next_seq`` (after :meth:`allocate_id`)."""
+        self._append({"op": "seq", "next_seq": self.next_seq})
+
+    def log_add(self, entry: CatalogEntry) -> None:
+        """Persist an :meth:`add`."""
+        self._append({"op": "add", "entry": entry.to_json()})
+
+    def log_remove(self, entry_id: str) -> None:
+        """Persist a :meth:`remove`."""
+        self._append({"op": "remove", "id": entry_id})
+
+    def _append(self, record: dict) -> None:
+        """Append one record and fsync it; compact once the log holds
+        more records than the catalog has entries."""
+        line = (json.dumps(record, separators=(",", ":"), default=str)
+                + "\n").encode("utf-8")
+        try:
+            with open(self.log_path, "ab", buffering=0) as fh:
+                if self._torn:
+                    fh.truncate(self._log_end)
+                    self._torn = False
+                fh.write(line)
+                os.fsync(fh.fileno())
+        except BaseException:
+            self._torn = True   # a partial line may be on disk: cut it
+            raise
+        self._log_end += len(line)
+        self._log_records += 1
+        if _metrics.ENABLED:
+            _C_APPENDS.inc()
+        if self._log_records > max(1, len(self._entries)):
+            self.save()
 
     # -- mutation -------------------------------------------------------------
 
@@ -283,3 +412,13 @@ class Catalog:
 
     def total_bytes(self) -> int:
         return sum(e.bytes for e in self._entries.values())
+
+
+def _file_id(path: Path) -> Optional[tuple]:
+    """Identity of the file at ``path`` — it changes when ``os.replace``
+    puts another file there — or ``None`` when there is none."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)

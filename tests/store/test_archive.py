@@ -1,5 +1,6 @@
 """TraceArchive lifecycle: two-phase commit, GC, and server integration."""
 
+import sys
 import threading
 
 import pytest
@@ -101,14 +102,24 @@ class TestTwoPhaseCommit:
                 errors.append(exc)
 
         threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+                   for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(archive) == 6
-        assert len({e.id for e in archive.entries()}) == 6
+        assert len(archive) == 8
+        assert len({e.id for e in archive.entries()}) == 8
+        # every interleaved log record landed whole: a reopen replays them
+        reopened = TraceArchive(archive.root)
+        assert reopened.last_rebuild is None
+        assert reopened.entries() == archive.entries()
 
 
 class TestQueries:

@@ -1,9 +1,12 @@
-"""Catalog: entry serialization, queries, atomic persistence."""
+"""Catalog: entry serialization, queries, snapshot + log persistence."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
+from repro.obs import metrics as _metrics
 from repro.store.catalog import (
     Catalog,
     CatalogEntry,
@@ -29,6 +32,16 @@ class TestEntry:
         e = entry()
         doc = json.loads(json.dumps(e.to_json()))
         assert CatalogEntry.from_json(doc) == e
+
+    def test_json_round_trip_every_optional_field(self):
+        e = entry(format=2, engine="atomicity", engine_version="2",
+                  engines=("atomicity@2", "ltl@1"),
+                  engine_spec="unserializable access patterns",
+                  engine_specs=("unserializable access patterns", None))
+        doc = e.to_json()
+        assert doc == dataclasses.asdict(e)
+        assert CatalogEntry.from_json(doc) == e
+        assert CatalogEntry.from_json(json.loads(json.dumps(doc))) == e
 
     def test_malformed_doc_rejected(self):
         with pytest.raises(CatalogError, match="malformed"):
@@ -134,3 +147,175 @@ class TestCatalog:
                       violations=0, counterexamples=()))
         assert [e.id for e in cat.entries(CatalogQuery(verdict="clean"))] \
             == ["s000002-bank"]
+
+
+def log_records(cat):
+    if not cat.log_path.exists():
+        return []
+    return [json.loads(line)
+            for line in cat.log_path.read_bytes().splitlines()]
+
+
+def with_snapshot(path, n):
+    """A catalog whose snapshot holds ``n`` entries and whose log is empty."""
+    cat = Catalog(path)
+    for k in range(1, n + 1):
+        cat.add(entry(cat.allocate_id("xyz"), created_at=float(k)))
+    cat.save()
+    return cat
+
+
+def state(cat):
+    return cat.next_seq, cat.entries()
+
+
+class TestLog:
+    def test_snapshot_plus_log_round_trip(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        cat = with_snapshot(path, 4)
+        snapshot = path.read_bytes()
+        new_id = cat.allocate_id("bank")
+        cat.log_seq()
+        cat.add(entry(new_id, program="bank", created_at=9.0))
+        cat.log_add(cat.get(new_id))
+        cat.remove("s000002-xyz")
+        cat.log_remove("s000002-xyz")
+
+        assert path.read_bytes() == snapshot   # no rewrite, three records
+        assert [r["op"] for r in log_records(cat)] == ["seq", "add",
+                                                       "remove"]
+        loaded = Catalog.load(path)
+        assert state(loaded) == state(cat)
+        assert loaded.next_seq == 6
+        assert "s000002-xyz" not in loaded
+        assert loaded.get(new_id).program == "bank"
+
+    def test_log_without_snapshot(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        cat = Catalog(path)
+        cat.allocate_id("xyz")
+        cat.log_seq()
+        assert not path.exists()
+        assert Catalog.load(path).next_seq == 2
+
+    def test_save_empties_log(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        cat = with_snapshot(path, 3)
+        cat.allocate_id("xyz")
+        cat.log_seq()
+        cat.save()
+        assert log_records(cat) == []
+        assert state(Catalog.load(path)) == state(cat)
+
+    def test_torn_final_record_dropped_then_truncated(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        cat = with_snapshot(path, 3)
+        cat.allocate_id("xyz")
+        cat.log_seq()
+        expected = state(cat)
+        with open(cat.log_path, "ab") as fh:   # the writer died mid-append
+            fh.write(b'{"op":"add","entry":{"id":"s0000')
+
+        loaded = Catalog.load(path)
+        assert state(loaded) == expected
+        loaded.allocate_id("xyz")
+        loaded.log_seq()
+        assert [r["op"] for r in log_records(loaded)] == ["seq", "seq"]
+        assert Catalog.load(path).next_seq == 6
+
+    @pytest.mark.parametrize("bad", [
+        b"{not json\n",
+        b'{"op": "rename", "id": "s000001-xyz"}\n',
+        b'{"op": "add", "entry": {"id": "s000009-xyz"}}\n',
+        b'["op", "seq"]\n',
+        b"\n",
+    ])
+    def test_corrupt_middle_record_rejected(self, tmp_path, bad):
+        path = tmp_path / "catalog.json"
+        cat = with_snapshot(path, 3)
+        cat.allocate_id("xyz")
+        cat.log_seq()
+        with open(cat.log_path, "ab") as fh:
+            fh.write(bad)
+        cat.log_seq()
+        with pytest.raises(CatalogError, match="bad record 2"):
+            Catalog.load(path)
+
+    def test_log_never_outgrows_catalog(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        cat = Catalog(path)
+        rng = random.Random(7)
+        for _ in range(300):
+            if len(cat) and rng.random() < 0.3:
+                victim = rng.choice(cat.entries()).id
+                cat.remove(victim)
+                cat.log_remove(victim)
+            elif rng.random() < 0.5:
+                cat.allocate_id("xyz")
+                cat.log_seq()
+            else:
+                e = entry(cat.allocate_id("xyz"))
+                cat.log_seq()
+                assert len(log_records(cat)) <= max(1, len(cat))
+                cat.add(e)
+                cat.log_add(e)
+            assert len(log_records(cat)) <= max(1, len(cat))
+            assert state(Catalog.load(path)) == state(cat)
+
+    def test_compaction_amortizes_and_is_counted(self, tmp_path):
+        cat = Catalog(tmp_path / "catalog.json")
+        _metrics.enable(reset=True)
+        try:
+            for _ in range(200):
+                e = entry(cat.allocate_id("xyz"))
+                cat.log_seq()
+                cat.add(e)
+                cat.log_add(e)
+            appends = _metrics.REGISTRY.get("store.catalog_appends").value
+            compactions = _metrics.REGISTRY.get(
+                "store.catalog_compactions").value
+        finally:
+            _metrics.disable()
+        assert appends == 400
+        # the log grows with the catalog between compactions, so they
+        # thin out geometrically (a rewrite per mutation would be 400)
+        assert 0 < compactions < 25
+
+    def test_replay_is_idempotent(self, tmp_path):
+        """A crash between the snapshot rename and the log truncation
+        leaves records the snapshot already holds; they apply twice."""
+        path = tmp_path / "catalog.json"
+        cat = with_snapshot(path, 4)
+        e = entry(cat.allocate_id("bank"), program="bank")
+        cat.log_seq()
+        cat.add(e)
+        cat.log_add(e)
+        cat.remove("s000001-xyz")
+        cat.log_remove("s000001-xyz")
+        stale_log = cat.log_path.read_bytes()
+        cat.save()
+        cat.log_path.write_bytes(stale_log)
+        assert state(Catalog.load(path)) == state(cat)
+
+    def test_load_rereads_when_compaction_races(self, tmp_path,
+                                                monkeypatch):
+        path = tmp_path / "catalog.json"
+        writer = with_snapshot(path, 4)
+        e = entry(writer.allocate_id("bank"), program="bank")
+        writer.log_seq()
+        writer.add(e)
+        writer.log_add(e)
+
+        read_snapshot = Catalog._read_snapshot
+        calls = []
+
+        def racing(self):
+            read_snapshot(self)
+            if not calls:   # compaction lands between snapshot and log
+                writer.save()
+            calls.append(self)
+
+        monkeypatch.setattr(Catalog, "_read_snapshot", racing)
+        loaded = Catalog.load(path)
+        assert len(calls) == 2
+        assert state(loaded) == state(writer)

@@ -8,13 +8,13 @@ per-thread vector clocks, soundness — on every workload and seed.
 """
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.logic import Monitor
 from repro.observer.observer import Observer
 from repro.store import (
+    Catalog,
     TraceArchive,
     replay_entry,
     replay_trace,
@@ -111,10 +111,11 @@ class TestRegressionCorpus:
     def test_verify_all_detects_drift(self, archive, tmp_path):
         entry, _, _ = record_live(archive, "xyz", None)
         # tamper with the pinned expectation: pretend the live run was clean
-        doc = json.loads((archive.root / "catalog.json").read_text())
-        doc["entries"][0]["violations"] = 0
-        doc["entries"][0]["counterexamples"] = []
-        (archive.root / "catalog.json").write_text(json.dumps(doc))
+        catalog = Catalog.load(archive.root / TraceArchive.CATALOG_NAME)
+        catalog.remove(entry.id)
+        catalog.add(dataclasses.replace(entry, violations=0,
+                                        counterexamples=()))
+        catalog.save()
         tampered = TraceArchive(archive.root)
         report = verify_all(tampered)
         assert not report.clean

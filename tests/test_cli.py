@@ -380,14 +380,17 @@ class TestStoreCommands:
         assert "all verdicts reproduced exactly" in out
 
     def test_replay_expect_catalog_detects_drift(self, populated):
-        import json
+        import dataclasses
         from pathlib import Path
 
-        catalog = Path(populated) / "catalog.json"
-        doc = json.loads(catalog.read_text())
-        doc["entries"][0]["violations"] = 0
-        doc["entries"][0]["counterexamples"] = []
-        catalog.write_text(json.dumps(doc))
+        from repro.store import Catalog, TraceArchive
+
+        catalog = Catalog.load(Path(populated) / TraceArchive.CATALOG_NAME)
+        entry = catalog.entries()[0]
+        catalog.remove(entry.id)
+        catalog.add(dataclasses.replace(entry, violations=0,
+                                        counterexamples=()))
+        catalog.save()
         code, out = run_cli("replay", populated, "--all",
                             "--expect-catalog")
         assert code == 1
