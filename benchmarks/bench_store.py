@@ -15,6 +15,7 @@ import statistics
 import time
 
 from repro.core import AlgorithmA
+from repro.engines import StreamVerdict
 from repro.logic import Monitor
 from repro.observer.observer import Observer
 from repro.observer.trace import read_trace, write_trace
@@ -187,7 +188,7 @@ def test_catalog_commit_cost_is_flat(tmp_path):
                                     spec=SPEC)
             for m in msgs:
                 pending.write(m)
-            pending.commit([], True, 0.001)
+            pending.commit(StreamVerdict((), True), 0.001)
             cpus.append(time.process_time() - c0)
             walls.append(time.perf_counter() - w0)
         assert len(archive) == n + reps

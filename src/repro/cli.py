@@ -404,16 +404,11 @@ def cmd_observe(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     out("observer health:")
     for line in observer.health.summary().splitlines():
         out("  " + line)
-    verdicts = observer.engine_verdicts()
-    counterexamples = observer.counterexamples()
+    verdict = observer.verdict()
     if args.engines:
-        out("engine verdicts:")
-        for v in verdicts:
-            out(f"  {v.qualified} [{v.spec}]: {v.verdict} "
-                f"({v.violations} finding(s))")
-    out(f"violations (on the analyzed region): "
-        f"{sum(v.violations for v in verdicts)}")
-    for c in counterexamples:
+        _print_engine_verdicts(verdict.engines, out)
+    out(f"violations (on the analyzed region): {verdict.violations}")
+    for c in verdict.counterexamples:
         out("  counterexample: " + c)
     if want_metrics:
         out("metrics:")
@@ -428,7 +423,7 @@ def cmd_observe(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             "quarantined windows")
     else:
         out("VERDICT: sound everywhere (all faults absorbed)")
-    return 1 if any(v.violations for v in verdicts) else 0
+    return 1 if verdict.violations else 0
 
 
 def cmd_stats(args: argparse.Namespace, out: Callable[[str], None]) -> int:
@@ -557,11 +552,7 @@ def cmd_attach(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     out(f"streamed {len(execution.messages)} messages   "
         f"analyzed: {verdict.analyzed}   state: {verdict.state}")
     if verdict.engines and args.engines:
-        out("engine verdicts:")
-        for doc in verdict.engines:
-            out(f"  {doc['engine']}@{doc['version']} [{doc.get('spec')}]: "
-                f"{'violation' if doc['violations'] else 'clean'} "
-                f"({doc['violations']} finding(s))")
+        _print_engine_verdicts(verdict.engines, out)
     out(f"violations (observed or predicted): {verdict.violations}")
     for c in verdict.counterexamples:
         out("  counterexample: " + c)
@@ -569,6 +560,15 @@ def cmd_attach(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         out(f"error: session ended {verdict.state}: {verdict.error}")
         return 2
     return 1 if verdict.violations else 0
+
+
+def _print_engine_verdicts(docs, out: Callable[[str], None]) -> None:
+    """One line per engine verdict document (``EngineVerdict.to_json``)."""
+    out("engine verdicts:")
+    for doc in docs:
+        out(f"  {doc['engine']}@{doc['version']} [{doc.get('spec')}]: "
+            f"{'violation' if doc['violations'] else 'clean'} "
+            f"({doc['violations']} finding(s))")
 
 
 def _fetch_status_or_explain(host: str, port: int,

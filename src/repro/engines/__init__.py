@@ -21,6 +21,7 @@ from .base import (
     AnalysisEngine,
     EngineError,
     EngineVerdict,
+    StreamVerdict,
     compute_degraded_windows,
     make_engine,
     make_engines,
@@ -44,6 +45,7 @@ __all__ = [
     "LtlEngine",
     "PatternEngine",
     "PatternMatch",
+    "StreamVerdict",
     "compute_degraded_windows",
     "hb_concurrent",
     "hb_precedes",

@@ -304,6 +304,9 @@ class AtomicityEngine(AnalysisEngine):
     def counterexamples(self) -> list[str]:
         return [f.pretty() for f in self._findings]
 
+    def finding_count(self) -> int:
+        return len(self._findings)
+
     def spec_text(self) -> str:
         return "unserializable access patterns (AVIO table)"
 

@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "AnalysisEngine",
     "EngineVerdict",
+    "StreamVerdict",
     "EngineError",
     "parse_engine_spec",
     "make_engine",
@@ -97,6 +98,29 @@ class EngineVerdict:
                 for w in self.degraded_windows
             ],
         }
+
+
+@dataclass(frozen=True)
+class StreamVerdict:
+    """A finished stream's verdict, rendered once: every engine's
+    :meth:`EngineVerdict.to_json` document, in engine order, plus overall
+    soundness.  It is the value that crosses the supervised worker's
+    process boundary; the result frame, the sealed session record, the
+    archive footer, replay and the CLI all read it, and the violation
+    count and flat counterexample list are views over it.
+    """
+
+    engines: tuple[dict, ...]
+    sound: bool
+
+    @property
+    def violations(self) -> int:
+        return sum(e["violations"] for e in self.engines)
+
+    @property
+    def counterexamples(self) -> list[str]:
+        """Every engine's findings, in engine order."""
+        return [c for e in self.engines for c in e["counterexamples"]]
 
 
 class AnalysisEngine:
@@ -167,7 +191,7 @@ class AnalysisEngine:
         return {
             "engine": self.name,
             "version": self.version,
-            "violations": len(self.counterexamples()),
+            "violations": self.finding_count(),
             "finished": self._finished,
         }
 
@@ -176,6 +200,11 @@ class AnalysisEngine:
     def counterexamples(self) -> list[str]:
         """Pretty-printed findings, in discovery order."""
         raise NotImplementedError
+
+    def finding_count(self) -> int:
+        """How many findings so far.  The built-in engines count without
+        rendering; the default renders and counts."""
+        return len(self.counterexamples())
 
     def spec_text(self) -> str:
         """The engine's specification text, for attribution."""

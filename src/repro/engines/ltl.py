@@ -94,6 +94,9 @@ class LtlEngine(AnalysisEngine):
     def counterexamples(self) -> list[str]:
         return [v.pretty(self._variables) for v in self._builder.violations]
 
+    def finding_count(self) -> int:
+        return len(self._builder.violations)
+
     def spec_text(self) -> str:
         return self._spec_text
 

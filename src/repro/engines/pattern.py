@@ -283,6 +283,9 @@ class PatternEngine(AnalysisEngine):
     def counterexamples(self) -> list[str]:
         return [m.pretty() for m in self._matches]
 
+    def finding_count(self) -> int:
+        return len(self._matches)
+
     def spec_text(self) -> str:
         return self._text
 

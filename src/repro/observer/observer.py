@@ -35,7 +35,12 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from ..analysis.predictive import DegradedWindow
 from ..core.causality import CausalityIndex
 from ..core.events import Envelope, Message, VarName
-from ..engines.base import AnalysisEngine, EngineVerdict, make_engine
+from ..engines.base import (
+    AnalysisEngine,
+    EngineVerdict,
+    StreamVerdict,
+    make_engine,
+)
 from ..engines.bus import AnalysisBus
 from ..engines.ltl import LtlEngine
 from ..lattice.levels import BuilderStats, Violation
@@ -186,6 +191,7 @@ class Observer:
         self._received = 0
         self._corrupted = 0
         self._finished = False
+        self._verdicts: Optional[list[EngineVerdict]] = None
         self._tolerant = fault_tolerant
         if stall_threshold is not None and stall_threshold < 1:
             raise ValueError("stall_threshold must be >= 1 (or None)")
@@ -473,17 +479,34 @@ class Observer:
         return self._bus.engines
 
     def engine_verdicts(self) -> list[EngineVerdict]:
-        """One :class:`EngineVerdict` per engine, in registration order."""
+        """One :class:`EngineVerdict` per engine, in registration order.
+
+        After :meth:`finish` the verdicts are rendered once and memoised:
+        :meth:`counterexamples` and :meth:`verdict` are views over them."""
         with self._lock:
-            return self._bus.verdicts()
+            if self._verdicts is not None:
+                return list(self._verdicts)
+            verdicts = self._bus.verdicts()
+            if self._finished:
+                self._verdicts = verdicts
+            return list(verdicts)
 
     def counterexamples(self) -> list[str]:
         """Pretty-printed findings of every engine, in engine order."""
+        return [c for v in self.engine_verdicts() for c in v.counterexamples]
+
+    def verdict(self) -> StreamVerdict:
+        """Every engine's verdict document plus overall soundness — the
+        value a finished session's consumers read."""
         with self._lock:
-            out: list[str] = []
-            for e in self._bus.engines:
-                out.extend(e.counterexamples())
-            return out
+            return StreamVerdict(
+                tuple(v.to_json() for v in self.engine_verdicts()),
+                self._health().sound_everywhere)
+
+    def finding_count(self) -> int:
+        """Findings so far across every engine, without rendering them."""
+        with self._lock:
+            return sum(e.finding_count() for e in self._bus.engines)
 
     @property
     def _ltl(self) -> Optional[LtlEngine]:

@@ -421,15 +421,19 @@ class AnalysisServer:
     # -- status ---------------------------------------------------------------
 
     def status(self) -> dict:
-        """JSON-able health report: server gauges + every session record."""
+        """JSON-able health report: server gauges + every session record.
+
+        Live rows are built outside the server lock; they carry counts
+        only, so a status poll renders nothing."""
         with self._lock:
-            live = [s.record() for s in self._sessions.values()]
+            live = list(self._sessions.values())
             sealed = list(self._records)
             active = len(self._sessions)
             rejected = self._rejected
         finished = sum(r["state"] == SessionState.FINISHED.value
                        for r in sealed)
         failed = sum(r["state"] == SessionState.FAILED.value for r in sealed)
+        live = [s.record() for s in live]
         doc = {
             "t": "status",
             "server": {
@@ -865,7 +869,7 @@ class AnalysisServer:
             "analyzed": record["analyzed"],
             "final_clocks": record["final_clocks"],
             "error": record["error"],
-            "engines": record.get("engines", []),
+            "engines": record["engines"],
         })
 
     def _retire(self, session: Session) -> None:

@@ -35,6 +35,7 @@ import time
 from collections import deque
 from typing import Any, Optional, Sequence
 
+from ..engines.base import StreamVerdict
 from ..logic.monitor import Monitor
 from ..observer.observer import Observer
 from .protocol import Hello
@@ -104,6 +105,10 @@ class Session:
         self.error: Optional[str] = None
         self.received = 0        # events accepted off the wire
         self.analyzed = 0        # events fed to the observer
+        self.live_violations = 0  # findings so far, every engine
+        #: The finished analysis's verdict, built once before ``done`` is
+        #: set; the result frame, seal() and the archive commit read it.
+        self.verdict: Optional[StreamVerdict] = None
         self.queue_high_water = 0
         self.started_at = time.time()
         self.finished_at: Optional[float] = None
@@ -251,10 +256,7 @@ class Session:
         if pending is None:
             return
         try:
-            pending.commit(self.violations_pretty(),
-                           self.observer.health.sound_everywhere,
-                           time.monotonic() - self._t0,
-                           engines=self.observer.engine_verdicts())
+            pending.commit(self.verdict, time.monotonic() - self._t0)
         except OSError:
             pending.abort()
 
@@ -326,15 +328,17 @@ class Session:
         try:
             if batch:
                 self.observer.receive_batch(batch)
+                # count first: a reader that sees `analyzed` sees its count
+                self.live_violations = self.observer.finding_count()
                 self.analyzed += len(batch)
                 for item in batch:
                     self.final_clocks[item.thread] = tuple(item.clock)
                     self._archive_write(item)
             if saw_fin:
                 self.observer.finish()
-                # archive the verdict before `done` is published: once the
-                # reader sees `done` it may seal() and drop the observer
-                # this commit still reads from
+                # build the verdict and archive it before `done` is
+                # published: once the reader sees `done` it may seal()
+                self.verdict = self.observer.verdict()
                 self._commit_archive()
                 with self._cond:
                     if not self._state.terminal:
@@ -352,14 +356,6 @@ class Session:
 
     # -- results --------------------------------------------------------------
 
-    def violations_pretty(self) -> list[str]:
-        """Every engine's pretty-printed findings, in engine order (equal
-        to the classic LTL counterexample list for single-LTL sessions)."""
-        return self.observer.counterexamples()
-
-    def engine_verdicts_json(self) -> list[dict]:
-        return [v.to_json() for v in self.observer.engine_verdicts()]
-
     def seal(self) -> dict:
         """Freeze the final record and drop the observer (and its lattice
         state) so a long-running server does not accumulate one analyzer
@@ -371,31 +367,46 @@ class Session:
         return self._sealed
 
     def record(self) -> dict:
-        """JSON-able status record — one line of ``repro sessions``."""
-        if self._sealed is not None:
-            return dict(self._sealed)
+        """JSON-able status record — one line of ``repro sessions``.
+
+        A finished session's row reads :attr:`verdict`; a live or failed
+        one reports counts only and renders no counterexample."""
+        sealed = self._sealed
+        if sealed is not None:
+            return dict(sealed)
         elapsed = (self._elapsed if self._elapsed is not None
                    else time.monotonic() - self._t0)
-        health = self.observer.health
-        verdicts = self.observer.engine_verdicts()
+        # read the state first: a session turns FINISHED only after its
+        # verdict is set, so a finished row always carries the verdict
+        state = self._state
+        verdict = self.verdict
+        if verdict is None:
+            observer = self.observer
+            verdict = StreamVerdict(
+                (), observer is None or observer.health.sound_everywhere)
+            violations = self.live_violations
+        else:
+            violations = verdict.violations
         return {
             "session": self.id,
             "program": self.program,
             "peer": self.peer,
-            "state": self._state.value,
+            "state": state.value,
             "spec": self.spec,
             "n_threads": self.n_threads,
             "received": self.received,
             "analyzed": self.analyzed,
             "pending": self.pending,
             "queue_high_water": self.queue_high_water,
-            "violations": sum(v.violations for v in verdicts),
-            "counterexamples": self.violations_pretty(),
-            "engines": [v.to_json() for v in verdicts],
-            "sound": health.sound_everywhere,
+            "violations": violations,
+            "counterexamples": verdict.counterexamples,
+            "engines": list(verdict.engines),
+            "sound": verdict.sound,
             "final_clocks": [list(c) for c in self.final_clocks],
             "epoch": self.epoch,
             "attached": self.attached,
+            **({"supervised": True, "restarts": self.restarts}
+               if self.supervised else {}),
             "archive": self.archive_id,
             "error": self.error,
             "started_at": self.started_at,

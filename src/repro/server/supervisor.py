@@ -43,10 +43,11 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from ..core.events import Message
+from ..engines.base import StreamVerdict
 from ..logic.monitor import Monitor
 from ..obs import metrics as _metrics
 from ..observer.observer import Observer
-from ..store.catalog import VERDICT_CLEAN, VERDICT_VIOLATION
+from ..store.archive import catalog_footer
 from .recovery import SessionJournal
 from .session import Session, SessionState
 
@@ -131,7 +132,7 @@ def _worker_main(journal_dir: str, inbox, outbox, checkpoint_every: int,
     for m in recovered:
         clocks[m.thread] = list(m.clock)
     stats = {"analyzed": len(recovered),
-             "violations": len(observer.violations)}
+             "violations": observer.finding_count()}
     stop = threading.Event()
 
     def hb_loop() -> None:
@@ -169,38 +170,16 @@ def _worker_main(journal_dir: str, inbox, outbox, checkpoint_every: int,
                 except Exception as exc:  # noqa: BLE001
                     outbox.put(("fatal", f"analysis error: {exc}"))
                     return
-                verdicts = observer.engine_verdicts()
-                counterexamples = observer.counterexamples()
-                violations = sum(v.violations for v in verdicts)
-                sound = observer.health.sound_everywhere
+                verdict = observer.verdict()
                 wall = max(0.0, time.time() - meta.created_at)
-                primary = verdicts[0] if verdicts else None
-                journal.seal(extra={
-                    "program": meta.program,
-                    "spec": meta.spec,
-                    "n_threads": meta.n_threads,
-                    "verdict": (VERDICT_VIOLATION if violations
-                                else VERDICT_CLEAN),
-                    "violations": violations,
-                    "counterexamples": counterexamples,
-                    "final_clocks": [list(c) for c in clocks],
-                    "sound": sound,
-                    "wall_time_s": round(wall, 6),
-                    "created_at": time.time(),
-                    "engine": primary.engine if primary else "none",
-                    "engine_version": primary.version if primary else "1",
-                    "engines": [v.qualified for v in verdicts],
-                    "engine_spec": primary.spec if primary else None,
-                    "engine_specs": [v.spec for v in verdicts],
-                })
+                journal.seal(extra=catalog_footer(
+                    meta.program, meta.spec, meta.n_threads, verdict,
+                    clocks, wall))
                 outbox.put(("result", {
                     "analyzed": stats["analyzed"],
-                    "violations": violations,
-                    "counterexamples": counterexamples,
-                    "sound": sound,
                     "final_clocks": [list(c) for c in clocks],
-                    "wall_time_s": round(wall, 6),
-                    "engines": [v.to_json() for v in verdicts],
+                    "engines": verdict.engines,
+                    "sound": verdict.sound,
                 }))
                 return
             msg = Message.from_json(text)
@@ -210,8 +189,8 @@ def _worker_main(journal_dir: str, inbox, outbox, checkpoint_every: int,
                 outbox.put(("fatal", f"analysis error: {exc}"))
                 return
             journal.write(msg)
+            stats["violations"] = observer.finding_count()
             stats["analyzed"] += 1
-            stats["violations"] = len(observer.violations)
             clocks[msg.thread] = list(msg.clock)
             n = journal.maybe_checkpoint(checkpoint_every)
             if n is not None:
@@ -252,9 +231,6 @@ class SupervisedSession(Session):
         self.restarts = 0
         self._fin_sent = False
         self._closing = False
-        self._result: Optional[dict] = None
-        self._child_analyzed = 0
-        self._child_violations = 0
         self._proc = None
         self._inbox = None
         self._outbox = None
@@ -339,8 +315,8 @@ class SupervisedSession(Session):
             last_seen = time.monotonic()
             kind = item[0]
             if kind == "hb":
-                self._child_analyzed = max(self._child_analyzed, item[1])
-                self._child_violations = item[2]
+                self.analyzed = max(self.analyzed, item[1])
+                self.live_violations = item[2]
             elif kind == "recovered":
                 self._on_durable(item[1], frame=False)
                 if _metrics.ENABLED and item[1]:
@@ -360,7 +336,7 @@ class SupervisedSession(Session):
     def _on_durable(self, n: int, frame: bool) -> None:
         with self._cond:
             self._durable = max(self._durable, n)
-            self._child_analyzed = max(self._child_analyzed, n)
+            self.analyzed = max(self.analyzed, n)
             while self._retained and self._retained[0][0] < self._durable:
                 self._retained.popleft()
         if frame:
@@ -400,9 +376,9 @@ class SupervisedSession(Session):
         with self._cond:
             if self._state.terminal:
                 return
-            self._result = result
-            self._child_analyzed = result["analyzed"]
-            self._child_violations = result["violations"]
+            self.verdict = StreamVerdict(tuple(result["engines"]),
+                                         result["sound"])
+            self.analyzed = result["analyzed"]
             self.final_clocks = [tuple(c) for c in result["final_clocks"]]
         archive = self._archive
         if archive is not None:
@@ -426,7 +402,7 @@ class SupervisedSession(Session):
             self.received = durable
             self._next_index = durable
             self._durable = durable
-            self._child_analyzed = durable
+            self.analyzed = durable
 
     # -- overridden session surface -------------------------------------------
 
@@ -519,43 +495,4 @@ class SupervisedSession(Session):
 
     @property
     def pending(self) -> int:
-        return max(0, self.received - self._child_analyzed)
-
-    def seal(self) -> dict:
-        if self._sealed is None:
-            self._sealed = self.record()
-            self._abort_archive()
-        return self._sealed
-
-    def record(self) -> dict:
-        if self._sealed is not None:
-            return dict(self._sealed)
-        elapsed = (self._elapsed if self._elapsed is not None
-                   else time.monotonic() - self._t0)
-        result = self._result or {}
-        return {
-            "session": self.id,
-            "program": self.program,
-            "peer": self.peer,
-            "state": self._state.value,
-            "spec": self.spec,
-            "n_threads": self.n_threads,
-            "received": self.received,
-            "analyzed": self._child_analyzed,
-            "pending": self.pending,
-            "queue_high_water": self.queue_high_water,
-            "violations": self._child_violations,
-            "counterexamples": list(result.get("counterexamples", [])),
-            "sound": bool(result.get("sound", True)),
-            "final_clocks": [list(c) for c in self.final_clocks],
-            "engines": list(result.get("engines", [])),
-            "epoch": self.epoch,
-            "attached": self.attached,
-            "supervised": True,
-            "restarts": self.restarts,
-            "archive": self.archive_id,
-            "error": self.error,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "elapsed_s": round(elapsed, 6),
-        }
+        return max(0, self.received - self.analyzed)

@@ -36,9 +36,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from ..core.events import Message, VarName
+from ..engines.base import StreamVerdict
 from ..obs import metrics as _metrics
 from ..observer.trace import TraceFormatError
 from .catalog import (
@@ -51,7 +52,8 @@ from .catalog import (
 )
 from .format import FORMAT_VERSION, SegmentWriter, read_trace_meta
 
-__all__ = ["TraceArchive", "PendingTrace", "CatalogRebuildReport"]
+__all__ = ["TraceArchive", "PendingTrace", "CatalogRebuildReport",
+           "catalog_footer"]
 
 _C_COMMITTED = _metrics.REGISTRY.counter(
     "store.traces_committed", unit="traces",
@@ -70,6 +72,36 @@ _C_REBUILT = _metrics.REGISTRY.counter(
 # Trace-id sequence extractor; tolerates an optional shard namespace
 # prefix (``sh00-s000001-xyz``) in front of the classic ``s000001-xyz``.
 _ID_SEQ = re.compile(r"^(?:[A-Za-z0-9_]+-)??s(\d{6})-")
+
+
+def catalog_footer(program: str, spec: Optional[str], n_threads: int,
+                   verdict: StreamVerdict,
+                   final_clocks: Sequence[Sequence[int]],
+                   wall_time_s: float) -> dict:
+    """The verdict a sealed trace embeds in its footer, so a lost catalog
+    can be rebuilt from the trace files alone.  It is the catalog entry
+    minus what the file itself gives back (id, event count, size, path,
+    format).  In-process commits and supervised workers both seal with
+    it; the first engine is the primary one the catalog names."""
+    engines = verdict.engines
+    primary = engines[0] if engines else None
+    return {
+        "program": program,
+        "spec": spec,
+        "n_threads": n_threads,
+        "verdict": VERDICT_VIOLATION if verdict.violations else VERDICT_CLEAN,
+        "violations": verdict.violations,
+        "counterexamples": verdict.counterexamples,
+        "final_clocks": [list(c) for c in final_clocks],
+        "sound": verdict.sound,
+        "wall_time_s": round(wall_time_s, 6),
+        "created_at": time.time(),
+        "engine": primary["engine"] if primary else "none",
+        "engine_version": primary["version"] if primary else "1",
+        "engines": [f"{e['engine']}@{e['version']}" for e in engines],
+        "engine_spec": primary["spec"] if primary else None,
+        "engine_specs": [e["spec"] for e in engines],
+    }
 
 
 class PendingTrace:
@@ -121,17 +153,10 @@ class PendingTrace:
         message (all-zeros for silent threads)."""
         return tuple(self._final_clocks)
 
-    def commit(self, counterexamples: list[str], sound: bool,
-               wall_time_s: float,
-               engines: Optional[list] = None) -> Optional[CatalogEntry]:
-        """Seal the trace and publish its catalog entry.
-
-        ``engines`` is the per-engine attribution — a list of
-        :class:`~repro.engines.base.EngineVerdict` (or anything with
-        ``engine``/``version``/``spec``/``qualified``), in verdict order;
-        the first engine is the primary one named in the catalog.  Without
-        it the entry is attributed to the classic pipeline (``ltl`` when a
-        spec was given, ``none`` otherwise).
+    def commit(self, verdict: StreamVerdict,
+               wall_time_s: float) -> Optional[CatalogEntry]:
+        """Seal the trace with the session's ``verdict`` and publish its
+        catalog entry (see :func:`catalog_footer`).
 
         Returns ``None`` when the trace was already resolved (a concurrent
         abort won the race)."""
@@ -140,62 +165,12 @@ class PendingTrace:
                 return None
             self._resolved = True
             writer, self._writer = self._writer, None
-        if engines:
-            primary = engines[0]
-            engine, engine_version = primary.engine, primary.version
-            engine_spec = primary.spec
-            qualified = [v.qualified for v in engines]
-            engine_specs = [v.spec for v in engines]
-        else:
-            engine = "ltl" if self.spec else "none"
-            engine_version = "1"
-            engine_spec = self.spec
-            qualified = [f"{engine}@{engine_version}"] if self.spec else []
-            engine_specs = [self.spec] if self.spec else []
-        # the verdict is embedded in the footer too, so a lost catalog.json
-        # can be rebuilt from the trace files alone (file size and path are
-        # recomputable from the file itself and deliberately omitted)
-        extras = {
-            "program": self.program,
-            "spec": self.spec,
-            "n_threads": self.n_threads,
-            "verdict": VERDICT_VIOLATION if counterexamples else VERDICT_CLEAN,
-            "violations": len(counterexamples),
-            "counterexamples": list(counterexamples),
-            "final_clocks": [list(c) for c in self.final_clocks],
-            "sound": sound,
-            "wall_time_s": round(wall_time_s, 6),
-            "created_at": time.time(),
-            "engine": engine,
-            "engine_version": engine_version,
-            "engines": qualified,
-            "engine_spec": engine_spec,
-            "engine_specs": engine_specs,
-        }
-        writer.close(extra=extras)
+        footer = catalog_footer(self.program, self.spec, self.n_threads,
+                                verdict, self.final_clocks, wall_time_s)
+        writer.close(extra=footer)
         os.replace(self._part_path, self._final_path)
-        entry = CatalogEntry(
-            id=self.id,
-            program=self.program,
-            spec=self.spec,
-            n_threads=self.n_threads,
-            events=writer.count,
-            verdict=extras["verdict"],
-            violations=len(counterexamples),
-            counterexamples=tuple(counterexamples),
-            final_clocks=self.final_clocks,
-            sound=sound,
-            wall_time_s=extras["wall_time_s"],
-            created_at=extras["created_at"],
-            bytes=self._final_path.stat().st_size,
-            path=str(self._final_path.relative_to(self.archive.root)),
-            format=FORMAT_VERSION,
-            engine=engine,
-            engine_version=engine_version,
-            engines=tuple(qualified),
-            engine_spec=engine_spec,
-            engine_specs=tuple(engine_specs),
-        )
+        entry = self.archive._entry_from_footer(
+            self.id, self._final_path, footer, writer.count)
         self.archive._publish(entry)
         if _metrics.ENABLED:
             _C_COMMITTED.inc()
@@ -309,7 +284,8 @@ class TraceArchive:
                      "writer); re-import with 'repro archive --import-trace'"))
                 continue
             try:
-                entry = self._entry_from_footer(trace_id, trace_path, meta)
+                entry = self._entry_from_footer(
+                    trace_id, trace_path, self._footer_of(meta), meta.events)
                 catalog.add(entry)
             except (CatalogError, KeyError, TypeError, ValueError) as exc:
                 report.skipped.append((trace_path.name, repr(exc)))
@@ -321,17 +297,21 @@ class TraceArchive:
             _C_REBUILT.inc()
         return catalog, report
 
+    @staticmethod
+    def _footer_of(meta) -> dict:
+        return {"program": meta.header.program,
+                "n_threads": meta.header.n_threads, **meta.catalog}
+
     def _entry_from_footer(self, trace_id: str, trace_path: Path,
-                           meta) -> CatalogEntry:
-        doc = dict(meta.catalog)
-        doc.setdefault("program", meta.header.program)
-        doc.setdefault("n_threads", meta.header.n_threads)
-        doc["id"] = trace_id           # the filename is authoritative
-        doc["events"] = meta.events
-        doc["bytes"] = trace_path.stat().st_size
-        doc["path"] = str(trace_path.relative_to(self.root))
-        doc["format"] = FORMAT_VERSION
-        return CatalogEntry.from_json(doc)
+                           footer: Mapping[str, Any],
+                           events: int) -> CatalogEntry:
+        return CatalogEntry.from_json(dict(
+            footer,
+            id=trace_id,           # the filename is authoritative
+            events=events,
+            bytes=trace_path.stat().st_size,
+            path=str(trace_path.relative_to(self.root)),
+            format=FORMAT_VERSION))
 
     # -- recording ------------------------------------------------------------
 
@@ -380,11 +360,7 @@ class TraceArchive:
         except BaseException:
             pending.abort()
             raise
-        entry = pending.commit(
-            observer.counterexamples(),
-            observer.health.sound_everywhere,
-            time.perf_counter() - t0,
-            engines=observer.engine_verdicts())
+        entry = pending.commit(observer.verdict(), time.perf_counter() - t0)
         assert entry is not None   # nothing else can resolve this pending
         return entry
 
@@ -413,20 +389,14 @@ class TraceArchive:
             self._catalog.log_seq()
         final = self.traces_dir / f"{trace_id}.rpt"
         shutil.move(str(sealed_path), final)
+        footer = self._footer_of(meta)
         if wall_time_s is not None:
-            meta = TraceArchive._with_wall_time(meta, wall_time_s)
-        entry = self._entry_from_footer(trace_id, final, meta)
+            footer["wall_time_s"] = round(wall_time_s, 6)
+        entry = self._entry_from_footer(trace_id, final, footer, meta.events)
         self._publish(entry)
         if _metrics.ENABLED:
             _C_COMMITTED.inc()
         return entry
-
-    @staticmethod
-    def _with_wall_time(meta, wall_time_s: float):
-        doc = dict(meta.catalog)
-        doc["wall_time_s"] = round(wall_time_s, 6)
-        return type(meta)(header=meta.header, events=meta.events,
-                          segments=meta.segments, catalog=doc)
 
     # -- queries --------------------------------------------------------------
 

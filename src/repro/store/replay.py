@@ -137,19 +137,18 @@ def replay_trace(path: str | Path, spec: Optional[str] = None,
     if _metrics.ENABLED:
         _C_REPLAYED.inc(events)
         _G_REPLAY_RATE.set(round(events / elapsed, 3) if elapsed > 0 else 0.0)
-    verdicts = observer.engine_verdicts()
-    counterexamples = tuple(observer.counterexamples())
+    verdict = observer.verdict()
     return ReplayResult(
         program=program if program is not None else header.program,
         spec=spec,
         n_threads=header.n_threads,
         events=events,
-        violations=sum(v.violations for v in verdicts),
-        counterexamples=counterexamples,
+        violations=verdict.violations,
+        counterexamples=tuple(verdict.counterexamples),
         final_clocks=tuple(final_clocks),
-        sound=observer.health.sound_everywhere,
+        sound=verdict.sound,
         elapsed_s=elapsed,
-        engines=tuple(v.to_json() for v in verdicts),
+        engines=verdict.engines,
     )
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,64 @@ from repro.sched import FixedScheduler, run_program
 from repro.workloads import (
     LANDING_OBSERVED_SCHEDULE,
     XYZ_OBSERVED_SCHEDULE,
+    XYZ_PROPERTY,
     landing_controller,
     xyz_program,
 )
+
+#: Engine selections of the served ``lattice`` workload, for lock soups.
+SOUP_ENGINES = ("ltl:(v0 > 5) -> [v1 >= 0, v1 > 8)", "atomicity",
+                "pattern:W(v0)=9;R(v0);W(v1)")
+
+#: Verdict-parity cases: ``name -> (program, spec, engines, seed)``.
+PARITY_CASES = {
+    "xyz": ("xyz", XYZ_PROPERTY, ("ltl", "atomicity", "pattern:W(x);R(y)"),
+            None),
+    "soup-0": ("soup", None, SOUP_ENGINES, 0),
+    "soup-1": ("soup", None, SOUP_ENGINES, 1),
+}
+
+
+def lock_soup(seed, ops_per_thread=30):
+    """The 4-thread lock-region soup of ``benchmarks/bench_engines.py``
+    (the served ``lattice`` workload's generator), every access relevant."""
+    bench = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    sys.path.insert(0, bench)
+    try:
+        from bench_engines import _lock_soup
+    finally:
+        sys.path.remove(bench)
+    return _lock_soup(seed, ops_per_thread)
+
+
+def parity_case(name):
+    """``(program, execution, spec, engines)`` for a :data:`PARITY_CASES`
+    entry."""
+    program, spec, engines, seed = PARITY_CASES[name]
+    execution = (lock_soup(seed) if program == "soup"
+                 else run_program(xyz_program(),
+                                  FixedScheduler(XYZ_OBSERVED_SCHEDULE)))
+    return program, execution, spec, list(engines)
+
+
+def serve_once(execution, program, spec, engines, **config):
+    """Serve ``execution`` as one session on a fresh daemon; return the
+    client's result-frame verdict and the sealed session record."""
+    from repro.server import AnalysisServer, ServerConfig, attach
+
+    config.setdefault("port", 0)
+    config.setdefault("drain_timeout", 60.0)
+    records = []
+    with AnalysisServer(ServerConfig(**config),
+                        on_session_end=records.append) as srv:
+        session = attach(srv.host, srv.port, n_threads=execution.n_threads,
+                         initial=dict(execution.initial_store), spec=spec,
+                         program=program, engines=engines)
+        for m in execution.messages:
+            session.send(m)
+        verdict = session.close(timeout=60.0)
+    [record] = records
+    return verdict, record
 
 
 @pytest.fixture

@@ -14,10 +14,13 @@ import time
 
 import pytest
 
+from repro.logic import Monitor
 from repro.observer import Observer
 from repro.observer.reliable import ReliableTransportError
 from repro.server import AnalysisServer, ServerConfig, attach
 from repro.workloads import XYZ_PROPERTY, XYZ_VARS
+
+from ..conftest import PARITY_CASES, lock_soup, parity_case, serve_once
 
 
 @pytest.fixture
@@ -97,6 +100,98 @@ class TestSupervisedParity:
         assert entry.program == "xyz"
         assert entry.verdict == "violation"
         assert entry.events == len(xyz_execution.messages)
+
+
+def _observer_verdict(execution, spec, engines):
+    """The standalone verdict: what a served session must reproduce (a
+    served spec reaches the engines as a parsed Monitor)."""
+    obs = Observer(execution.n_threads, dict(execution.initial_store),
+                   spec=Monitor(spec) if spec else None, engines=engines)
+    for m in execution.messages:
+        obs.receive(m)
+    obs.finish()
+    return obs.verdict()
+
+
+def _mode_config(tmp_path, supervised):
+    if not supervised:
+        return {"workers": 1}
+    return {"supervised": True, "checkpoint_dir": str(tmp_path / "ckpt"),
+            "checkpoint_every": 16}
+
+
+class TestVerdictParity:
+    """One record builder serves both kinds of session: the result frame
+    and the sealed record carry exactly the standalone verdict."""
+
+    @pytest.mark.parametrize("supervised", [False, True],
+                             ids=["inproc", "supervised"])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_result_frame_and_sealed_record(self, tmp_path, case,
+                                            supervised):
+        program, execution, spec, engines = parity_case(case)
+        expected = _observer_verdict(execution, spec, engines)
+        verdict, record = serve_once(execution, program, spec, engines,
+                                     **_mode_config(tmp_path, supervised))
+
+        assert verdict.state == "finished"
+        assert verdict.violations == expected.violations
+        assert list(verdict.counterexamples) == expected.counterexamples
+        assert verdict.engines == expected.engines
+        assert verdict.sound is expected.sound
+        assert len(verdict.engines) == 3
+        assert record["state"] == "finished"
+        assert record["violations"] == expected.violations
+        assert record["counterexamples"] == expected.counterexamples
+        assert record["engines"] == list(expected.engines)
+        assert record["sound"] is expected.sound
+        assert record["analyzed"] == len(execution.messages)
+        assert record["final_clocks"] == [
+            list(c) for c in verdict.final_clocks]
+        assert record.get("supervised", False) is supervised
+
+
+def _poll_row(server, session_id, until, timeout=20.0):
+    """Poll ``server.status()`` until the session's row satisfies
+    ``until`` (or the timeout passes); return the last row."""
+    deadline = time.monotonic() + timeout
+    while True:
+        [row] = [r for r in server.status()["sessions"]
+                 if r["session"] == session_id]
+        if until(row) or time.monotonic() > deadline:
+            return row
+        time.sleep(0.05)
+
+
+class TestLiveViolations:
+    def test_supervised_live_count_covers_every_engine(self, tmp_path):
+        """An atomicity-only session reports its streamed findings while
+        live, supervised or not (the worker used to count LTL only)."""
+        execution = lock_soup(1)
+        n = len(execution.messages)
+        live = {}
+        for supervised in (False, True):
+            config = ServerConfig(port=0, drain_timeout=60.0,
+                                  **_mode_config(tmp_path, supervised))
+            with AnalysisServer(config) as srv:
+                session = attach(srv.host, srv.port,
+                                 n_threads=execution.n_threads,
+                                 initial=dict(execution.initial_store),
+                                 program="soup", engines=["atomicity"])
+                for m in execution.messages:
+                    session.send(m)
+                # no fin yet: the session is live
+                expected = live.get(False)
+                row = _poll_row(
+                    srv, session.session_id,
+                    lambda r: r["analyzed"] == n and (
+                        expected is None or r["violations"] == expected))
+                assert row["state"] == "streaming"
+                assert row["analyzed"] == n
+                live[supervised] = row["violations"]
+                assert session.close(timeout=60.0).state == "finished"
+        assert live[False] > 0
+        assert live[True] == live[False]
 
 
 class TestWorkerCrash:

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.engines import StreamVerdict
 from repro.store import (
     CatalogQuery,
     GCReport,
@@ -13,6 +14,7 @@ from repro.store import (
 )
 from repro.store.gc import plan
 
+from ..conftest import PARITY_CASES, parity_case, serve_once
 from .conftest import run_workload
 
 
@@ -49,7 +51,7 @@ class TestTwoPhaseCommit:
                                 execution.initial_store)
         for m in execution.messages:
             pending.write(m)
-        assert pending.commit([], True, 0.0) is not None
+        assert pending.commit(StreamVerdict((), True), 0.0) is not None
         pending.abort()  # loses the race: no-op
         assert len(archive) == 1
         assert archive.path_of(archive.get(pending.id)).exists()
@@ -57,7 +59,7 @@ class TestTwoPhaseCommit:
     def test_abort_then_commit_returns_none(self, archive):
         pending = archive.begin("xyz", 2, {"x": 0})
         pending.abort()
-        assert pending.commit([], True, 0.0) is None
+        assert pending.commit(StreamVerdict((), True), 0.0) is None
         assert len(archive) == 0
 
     def test_write_after_resolve_raises(self, archive):
@@ -247,3 +249,38 @@ class TestServerIntegration:
         archive = TraceArchive(tmp_path / "arch")
         assert [r["archive"] for r in records] == [
             e.id for e in archive.entries()]
+
+
+class TestVerdictParity:
+    """In-process commits and supervised journal adoptions seal their
+    footers with one builder, so both catalog the same verdict — the one
+    a direct ``record_messages`` of the stream catalogs."""
+
+    FIELDS = ("verdict", "violations", "counterexamples", "engine",
+              "engine_version", "engines", "engine_spec", "engine_specs",
+              "sound", "final_clocks", "events", "program", "spec")
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_inproc_commit_matches_supervised_adoption(self, tmp_path,
+                                                       case):
+        program, execution, spec, engines = parity_case(case)
+        modes = {"inproc": {"workers": 1},
+                 "supervised": {"supervised": True,
+                                "checkpoint_dir": str(tmp_path / "ckpt"),
+                                "checkpoint_every": 16}}
+        fields = {}
+        for mode, config in modes.items():
+            root = tmp_path / mode
+            verdict, _ = serve_once(execution, program, spec, engines,
+                                    archive_dir=str(root), **config)
+            assert verdict.state == "finished"
+            [entry] = TraceArchive(root).entries()
+            fields[mode] = {f: getattr(entry, f) for f in self.FIELDS}
+        direct = TraceArchive(tmp_path / "direct").record_messages(
+            program, execution.n_threads, execution.initial_store,
+            execution.messages, spec=spec, engines=engines)
+        assert fields["inproc"] == fields["supervised"]
+        assert fields["inproc"] == {f: getattr(direct, f)
+                                    for f in self.FIELDS}
+        assert len(direct.engines) == 3
+

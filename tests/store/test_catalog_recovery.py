@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engines import EngineVerdict, StreamVerdict
 from repro.obs import metrics as _metrics
 from repro.store import Catalog, RetentionPolicy, TraceArchive
 
@@ -34,7 +35,9 @@ def _populate(root, n=3):
                                 execution.initial_store)
         for m in execution.messages:
             pending.write(m)
-        entries.append(pending.commit([f"cx-{seed}"], True, 0.5))
+        ltl = EngineVerdict("ltl", "1", "x > 0", 1, (f"cx-{seed}",), True)
+        entries.append(pending.commit(
+            StreamVerdict((ltl.to_json(),), True), 0.5))
     return archive, entries
 
 
