@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from ..core.events import VarName
+from ..engines.ltl import spec_initial_state
 from ..logic.ast import Formula
 from ..logic.monitor import Monitor
 from ..sched.scheduler import ExecutionResult
@@ -43,14 +44,12 @@ def detect(execution: ExecutionResult, spec: str | Formula | Monitor) -> Detecti
 
     The observed run is the sequence of global states after each *relevant*
     event, in emission order — exactly what a flat-trace monitor receives.
+    Raises :class:`~repro.engines.ltl.SpecVariableError` when the
+    specification names a variable the program's store lacks.
     """
     monitor = spec if isinstance(spec, Monitor) else Monitor(spec)
     variables = tuple(sorted(monitor.variables))
-    missing = [v for v in variables if v not in execution.initial_store]
-    if missing:
-        raise KeyError(
-            f"specification variables {missing} absent from the program store"
-        )
+    spec_initial_state(execution.initial_store, variables)
     tuples = execution.relevant_state_sequence(variables)
     states = [dict(zip(variables, t)) for t in tuples]
     ok, idx = monitor.check_trace(states)

@@ -8,9 +8,9 @@ scheduling even though the observed execution was successful.
 
 Two engines:
 
-* ``mode="levels"`` (default) — the paper's online, space-bounded analysis
-  (:class:`repro.lattice.levels.LevelByLevelBuilder`): at most two lattice
-  levels resident, one monitor-state set per node.
+* ``mode="levels"`` (default) — the paper's online, space-bounded analysis:
+  one :class:`~repro.engines.ltl.LtlEngine` on the analysis bus, the sweep
+  every served session runs (≤2 levels resident, one state set per node).
 * ``mode="full"``   — materialize the lattice and enumerate runs; finds
   *every* violating run individually (exponential; used for figures and as
   a cross-check oracle).
@@ -19,42 +19,21 @@ Two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core.events import Message, VarName
+from ..core.events import Message
+from ..engines.bus import AnalysisBus
+from ..engines.ltl import LtlEngine, resolve_monitor, spec_initial_state
 from ..lattice.full import ComputationLattice
-from ..lattice.levels import BuilderStats, LevelByLevelBuilder, Violation
+from ..lattice.levels import BuilderStats, Violation
 from ..obs import tracing as _tracing
 from ..logic.ast import Formula
+from ..logic.composite import CompositeMonitor
 from ..logic.monitor import Monitor
 from ..sched.scheduler import ExecutionResult
+from .detector import DetectionResult, detect
 
-__all__ = ["PredictionReport", "DegradedWindow", "predict", "predict_many"]
-
-
-@dataclass(frozen=True)
-class DegradedWindow:
-    """A per-thread suffix of the computation the analysis never saw.
-
-    When the transport loses the message at 1-based relevant position
-    ``first_missing`` of ``thread``, every later message of that thread —
-    and everything causally after it — is outside the analyzed sub-lattice.
-    Verdicts touching cuts with ``cut[thread] >= first_missing`` are
-    therefore *unsound*: neither violations nor their absence can be
-    claimed there.  Verdicts on the analyzed prefix remain exact (the
-    delivered subset is a consistent cut of the full computation, so its
-    sub-lattice is a prefix of the full one).
-    """
-
-    thread: int
-    #: First 1-based relevant index of ``thread`` that was never analyzed.
-    first_missing: int
-    #: Number of messages of this thread that *were* analyzed.
-    analyzed: int
-
-    def pretty(self) -> str:
-        return (f"thread {self.thread}: sound through index {self.analyzed}, "
-                f"unsound from index {self.first_missing}")
+__all__ = ["PredictionReport", "predict", "predict_many"]
 
 
 @dataclass
@@ -76,15 +55,6 @@ class PredictionReport:
     n_runs: int
     #: Resource stats (levels mode only).
     stats: Optional[BuilderStats] = field(default=None, repr=False)
-    #: Regions excluded from analysis because the transport lost messages
-    #: (empty for fault-free runs: the whole computation was analyzed).
-    degraded_windows: tuple[DegradedWindow, ...] = ()
-
-    @property
-    def sound_everywhere(self) -> bool:
-        """True when no region of the computation was excluded — verdicts
-        cover the entire lattice."""
-        return not self.degraded_windows
 
     @property
     def predicted(self) -> bool:
@@ -98,27 +68,32 @@ class PredictionReport:
         return not self.violations
 
 
-def _resolve_monitor(spec: str | Formula | Monitor) -> Monitor:
-    return spec if isinstance(spec, Monitor) else Monitor(spec)
+def _sweep(execution: ExecutionResult,
+           monitor: Monitor | CompositeMonitor) -> LtlEngine:
+    """The level-by-level sweep: the execution's messages (emission order,
+    a linear extension of ⊳) through the analysis bus to one LTL engine."""
+    with _tracing.span("predict.levels", program=execution.program_name,
+                       messages=len(execution.messages)):
+        engine = LtlEngine(execution.n_threads, execution.initial_store,
+                           monitor)
+        bus = AnalysisBus(execution.n_threads, [engine])
+        bus.feed_batch(execution.messages)
+        bus.finish()
+    return engine
 
 
-def _initial_state(
-    store: Mapping[VarName, Any], variables: Iterable[str]
-) -> dict[VarName, Any]:
-    missing = [v for v in variables if v not in store]
-    if missing:
-        raise KeyError(
-            f"specification variables {missing} absent from the program's "
-            f"shared store {sorted(map(str, store))}"
-        )
-    return {v: store[v] for v in variables}
+def _report(observed: DetectionResult, violations: list[Violation],
+            nodes: int, n_runs: int = -1,
+            stats: Optional[BuilderStats] = None) -> PredictionReport:
+    return PredictionReport(observed.program_name, observed.spec, observed.ok,
+                            observed.violation_index, violations, nodes,
+                            n_runs, stats)
 
 
 def predict(
     execution: ExecutionResult,
     spec: str | Formula | Monitor,
     mode: str = "levels",
-    track_paths: bool = True,
     run_limit: Optional[int] = None,
 ) -> PredictionReport:
     """Predictively analyze one execution against a safety specification.
@@ -128,38 +103,21 @@ def predict(
     covering at least writes of those variables (the default scheduler
     configuration does).
     """
-    monitor = _resolve_monitor(spec)
-    variables = sorted(monitor.variables)
-    initial = _initial_state(execution.initial_store, variables)
-
+    monitor = resolve_monitor(spec)
     # Observed-run verdict (what a single-trace checker would conclude).
     with _tracing.span("predict.observed_check",
                        program=execution.program_name):
-        observed_states = [dict(zip(variables, t))
-                           for t in execution.relevant_state_sequence(variables)]
-        observed_ok, observed_idx = monitor.check_trace(observed_states)
+        observed = detect(execution, monitor)
 
     if mode == "levels":
-        with _tracing.span("predict.levels", program=execution.program_name,
-                           messages=len(execution.messages)):
-            builder = LevelByLevelBuilder(
-                execution.n_threads, initial, monitor, track_paths=track_paths
-            )
-            builder.feed_many(execution.messages)
-            builder.finish()
-        return PredictionReport(
-            program_name=execution.program_name,
-            spec=str(monitor.formula),
-            observed_ok=observed_ok,
-            observed_violation_index=observed_idx,
-            violations=list(builder.violations),
-            nodes=builder.stats.nodes_expanded,
-            n_runs=-1,
-            stats=builder.stats,
-        )
+        engine = _sweep(execution, monitor)
+        return _report(observed, engine.violations,
+                       engine.stats.nodes_expanded, stats=engine.stats)
     if mode == "full":
         with _tracing.span("predict.full", program=execution.program_name,
                            messages=len(execution.messages)):
+            initial = spec_initial_state(execution.initial_store,
+                                         observed.variables)
             lattice = ComputationLattice(execution.n_threads, initial,
                                          execution.messages)
             violations: list[Violation] = []
@@ -177,16 +135,7 @@ def predict(
                             monitor_state=None,
                         )
                     )
-        return PredictionReport(
-            program_name=execution.program_name,
-            spec=str(monitor.formula),
-            observed_ok=observed_ok,
-            observed_violation_index=observed_idx,
-            violations=violations,
-            nodes=len(lattice),
-            n_runs=checked,
-            stats=None,
-        )
+        return _report(observed, violations, len(lattice), n_runs=checked)
     raise ValueError(f"unknown mode {mode!r} (expected 'levels' or 'full')")
 
 
@@ -200,7 +149,6 @@ def _cut_of_prefix(n_threads: int, messages: Sequence[Message]) -> tuple[int, ..
 def predict_many(
     execution: ExecutionResult,
     specs: Sequence[str | Formula | Monitor],
-    track_paths: bool = True,
 ) -> dict[str, PredictionReport]:
     """Check several specifications in **one** lattice sweep.
 
@@ -210,39 +158,17 @@ def predict_many(
     by its formula string, each carrying only its own violations (shared
     ``stats`` object: the sweep happened once).
     """
-    from ..logic.composite import CompositeMonitor
-
     composite = CompositeMonitor(specs)
-    variables = sorted(composite.variables)
-    initial = _initial_state(execution.initial_store, variables)
-    builder = LevelByLevelBuilder(
-        execution.n_threads, initial, composite, track_paths=track_paths
-    )
-    builder.feed_many(execution.messages)
-    builder.finish()
+    engine = _sweep(execution, composite)
 
     per_spec: dict[int, list[Violation]] = {i: [] for i in range(len(composite))}
-    for v in builder.violations:
+    for v in engine.violations:
         for i in composite.failing_specs(v.monitor_state):
             per_spec[i].append(v)
 
-    reports: dict[str, PredictionReport] = {}
-    for i, monitor in enumerate(composite.monitors):
-        spec_vars = sorted(monitor.variables)
-        observed_states = [
-            dict(zip(spec_vars, t))
-            for t in execution.relevant_state_sequence(spec_vars)
-        ]
-        ok, idx = monitor.check_trace(observed_states)
-        reports[str(monitor.formula)] = PredictionReport(
-            program_name=execution.program_name,
-            spec=str(monitor.formula),
-            observed_ok=ok,
-            observed_violation_index=idx,
-            violations=per_spec[i],
-            nodes=builder.stats.nodes_expanded,
-            n_runs=-1,
-            stats=builder.stats,
-        )
-    return reports
-
+    stats = engine.stats
+    return {
+        str(monitor.formula): _report(detect(execution, monitor), per_spec[i],
+                                      stats.nodes_expanded, stats=stats)
+        for i, monitor in enumerate(composite.monitors)
+    }

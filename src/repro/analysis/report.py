@@ -17,7 +17,6 @@ from ..sched.scheduler import ExecutionResult
 from .atomicity import AtomicityViolation, find_atomicity_violations
 from .datarace import Race, find_races
 from .deadlock import PotentialDeadlock, find_potential_deadlocks
-from .detector import detect
 from .predictive import PredictionReport, predict
 
 __all__ = ["AnalysisReport", "analyze"]

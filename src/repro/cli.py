@@ -78,7 +78,7 @@ import argparse
 import sys
 from typing import Callable, Optional, Sequence
 
-from .analysis import detect, find_races, predict
+from .analysis import find_races, predict
 from .core import all_accesses
 from .lattice import ComputationLattice, render_computation, render_lattice, to_dot
 from .observer.trace import read_trace, write_trace
@@ -181,9 +181,8 @@ def cmd_demo(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     out("messages:")
     for m in execution.messages:
         out(f"  {m.pretty()}")
-    baseline = detect(execution, spec)
-    out(f"observed run: {'OK' if baseline.ok else 'VIOLATION'}")
     report = predict(execution, spec, mode="full")
+    out(f"observed run: {'OK' if report.observed_ok else 'VIOLATION'}")
     out(f"lattice: {report.nodes} states, {report.n_runs} runs")
     out(f"violations (observed or predicted): {len(report.violations)}")
     for v in report.violations:
@@ -191,7 +190,7 @@ def cmd_demo(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if report.predicted:
         out("VERDICT: violation PREDICTED from a successful execution")
         return 1
-    if not baseline.ok:
+    if not report.observed_ok:
         out("VERDICT: violation observed directly")
         return 1
     out("VERDICT: no violation in any consistent run")
@@ -213,27 +212,29 @@ def cmd_check(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         return 2
     if _spec_usage_errors(args, out):
         return 1
-    trace = read_trace(args.trace)
-    from .lattice import LevelByLevelBuilder
-    from .logic import Monitor
+    from .observer import Observer
+    from .observer.trace import TraceFormatError
 
     try:
-        monitor = Monitor(args.spec)
+        trace = read_trace(args.trace)
+    except (OSError, TraceFormatError) as exc:
+        out(f"error: {exc}")
+        return 2
+    try:
+        observer = Observer(trace.n_threads, trace.initial, spec=args.spec)
     except ValueError as exc:
         out(f"error: invalid --spec: {exc}")
         return 1
-    initial = {v: trace.initial[v] for v in sorted(monitor.variables)}
-    builder = LevelByLevelBuilder(trace.n_threads, initial, monitor)
-    builder.feed_many(trace.messages)
-    builder.finish()
+    observer.receive_batch(trace.messages)
+    observer.finish()
     out(f"trace: {trace.program}, {len(trace.messages)} messages, "
         f"{trace.n_threads} threads")
-    out(f"lattice nodes expanded: {builder.stats.nodes_expanded}")
-    out(f"violations: {len(builder.violations)}")
-    variables = sorted(monitor.variables)
-    for v in builder.violations:
-        out("  counterexample: " + v.pretty(variables))
-    return 1 if builder.violations else 0
+    out(f"lattice nodes expanded: {observer.stats.nodes_expanded}")
+    counterexamples = observer.counterexamples()
+    out(f"violations: {len(counterexamples)}")
+    for c in counterexamples:
+        out("  counterexample: " + c)
+    return 1 if counterexamples else 0
 
 
 def cmd_render(args: argparse.Namespace, out: Callable[[str], None]) -> int:
@@ -267,10 +268,8 @@ def cmd_analyze(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     pred_exec = _run_demo(demo, args.seed)
     report = analyze(pred_exec, specs=[args.spec or demo.spec],
                      check_races=False)
-    race_part = analyze(execution, specs=(), check_races=True)
-    report.races = race_part.races
+    report.races = find_races(execution)
     report.races_checked = True
-    report.deadlocks = race_part.deadlocks
     out(report.summary())
     return 0 if report.clean else 1
 
@@ -325,9 +324,8 @@ def cmd_run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     out(f"final state: { {str(k): v for k, v in execution.final_store.items()} }")
     if not args.spec:
         return 0
-    baseline = detect(execution, args.spec)
-    out(f"observed run: {'OK' if baseline.ok else 'VIOLATION'}")
     report = predict(execution, args.spec)
+    out(f"observed run: {'OK' if report.observed_ok else 'VIOLATION'}")
     out(f"violations (observed or predicted): {len(report.violations)}")
     from .logic import Monitor
 
@@ -1376,8 +1374,14 @@ def main(argv: Optional[Sequence[str]] = None,
          out: Callable[[str], None] = print) -> int:
     """Entry point; returns the process exit code (0 clean, 1 violation/race,
     2 usage error)."""
+    from .engines import SpecVariableError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args, out)
+    try:
+        return args.fn(args, out)
+    except SpecVariableError as exc:
+        out(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

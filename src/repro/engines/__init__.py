@@ -19,6 +19,7 @@ through a uniform :class:`~repro.engines.base.EngineVerdict` contract.
 from .base import (
     ENGINE_FACTORIES,
     AnalysisEngine,
+    DegradedWindow,
     EngineError,
     EngineVerdict,
     StreamVerdict,
@@ -30,7 +31,7 @@ from .base import (
 )
 from .bus import AnalysisBus, BusEvent, hb_concurrent, hb_precedes
 from .atomicity import AtomicityEngine, AtomicityFinding
-from .ltl import LtlEngine
+from .ltl import LtlEngine, SpecVariableError
 from .pattern import PatternEngine, PatternMatch, parse_pattern
 
 __all__ = [
@@ -39,12 +40,14 @@ __all__ = [
     "AtomicityEngine",
     "AtomicityFinding",
     "BusEvent",
+    "DegradedWindow",
     "ENGINE_FACTORIES",
     "EngineError",
     "EngineVerdict",
     "LtlEngine",
     "PatternEngine",
     "PatternMatch",
+    "SpecVariableError",
     "StreamVerdict",
     "compute_degraded_windows",
     "hb_concurrent",

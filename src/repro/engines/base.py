@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence, TYPE_CHECKING
 
-from ..analysis.predictive import DegradedWindow
 from ..core.events import VarName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -43,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "AnalysisEngine",
+    "DegradedWindow",
     "EngineVerdict",
     "StreamVerdict",
     "EngineError",
@@ -55,6 +55,31 @@ __all__ = [
 
 class EngineError(ValueError):
     """An engine selection string or configuration is invalid."""
+
+
+@dataclass(frozen=True)
+class DegradedWindow:
+    """A per-thread suffix of the computation the analysis never saw.
+
+    When the transport loses the message at 1-based relevant position
+    ``first_missing`` of ``thread``, every later message of that thread —
+    and everything causally after it — is outside the analyzed sub-lattice.
+    Verdicts touching cuts with ``cut[thread] >= first_missing`` are
+    therefore *unsound*: neither violations nor their absence can be
+    claimed there.  Verdicts on the analyzed prefix remain exact (the
+    delivered subset is a consistent cut of the full computation, so its
+    sub-lattice is a prefix of the full one).
+    """
+
+    thread: int
+    #: First 1-based relevant index of ``thread`` that was never analyzed.
+    first_missing: int
+    #: Number of messages of this thread that *were* analyzed.
+    analyzed: int
+
+    def pretty(self) -> str:
+        return (f"thread {self.thread}: sound through index {self.analyzed}, "
+                f"unsound from index {self.first_missing}")
 
 
 @dataclass(frozen=True)

@@ -4,23 +4,58 @@ The engine owns a :class:`~repro.lattice.levels.LevelByLevelBuilder`: it
 feeds the builder the bus's causally-ordered messages, builds the
 computation lattice level by level, and reports each predicted violation
 the moment the buffered prefix proves it.  Offline
-:func:`~repro.analysis.predictive.predict` sweeps the same builder over a
-whole execution, so the two agree on violations and lattice statistics.
+:func:`~repro.analysis.predictive.predict` *is* this engine, run on an
+:class:`~repro.engines.bus.AnalysisBus` over a whole execution, so served,
+replayed and offline verdicts come from one sweep.  The one check that a
+spec's variables exist in the program's store lives here too.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from ..analysis.predictive import _initial_state, _resolve_monitor
 from ..core.events import VarName
 from ..lattice.levels import BuilderStats, LevelByLevelBuilder, Violation
+from ..logic.ast import Formula
+from ..logic.composite import CompositeMonitor
 from ..logic.monitor import Monitor
 from .base import AnalysisEngine, EngineError, compute_degraded_windows, \
     register_engine
 from .bus import BusEvent
 
-__all__ = ["LtlEngine"]
+__all__ = ["LtlEngine", "SpecVariableError", "resolve_monitor",
+           "spec_initial_state"]
+
+
+class SpecVariableError(KeyError):
+    """A specification names a variable the program's shared store lacks."""
+
+    def __str__(self) -> str:  # KeyError would quote the message
+        return str(self.args[0])
+
+
+def resolve_monitor(
+    spec: str | Formula | Monitor | CompositeMonitor,
+) -> Monitor | CompositeMonitor:
+    """A monitor for ``spec``; monitors (composite ones too) pass through."""
+    return spec if isinstance(spec, (Monitor, CompositeMonitor)) \
+        else Monitor(spec)
+
+
+def spec_initial_state(
+    store: Mapping[VarName, Any], variables: Sequence[str]
+) -> dict[VarName, Any]:
+    """The initial valuation of a specification's ``variables``.
+
+    Raises :class:`SpecVariableError` when any of them is absent from the
+    program's shared ``store``."""
+    missing = [v for v in variables if v not in store]
+    if missing:
+        raise SpecVariableError(
+            f"specification variables {missing} absent from the program's "
+            f"shared store {sorted(map(str, store))}"
+        )
+    return {v: store[v] for v in variables}
 
 
 class LtlEngine(AnalysisEngine):
@@ -30,15 +65,14 @@ class LtlEngine(AnalysisEngine):
     version = "1"
 
     def __init__(self, n_threads: int, initial: Mapping[VarName, Any],
-                 spec: "str | Monitor", track_paths: bool = True):
+                 spec: str | Formula | Monitor | CompositeMonitor):
         super().__init__()
-        monitor = _resolve_monitor(spec)
+        monitor = resolve_monitor(spec)
         self._variables = sorted(monitor.variables)
         self._spec_text = spec if isinstance(spec, str) \
             else str(monitor.formula)
         self._builder = LevelByLevelBuilder(
-            n_threads, _initial_state(initial, self._variables), monitor,
-            track_paths=track_paths)
+            n_threads, spec_initial_state(initial, self._variables), monitor)
         self._reported = 0
 
     # -- streaming ------------------------------------------------------------

@@ -32,11 +32,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from ..analysis.predictive import DegradedWindow
 from ..core.causality import CausalityIndex
 from ..core.events import Envelope, Message, VarName
 from ..engines.base import (
     AnalysisEngine,
+    DegradedWindow,
     EngineVerdict,
     StreamVerdict,
     make_engine,
@@ -90,7 +90,7 @@ class ObserverHealth:
     #: Messages that arrived after their slot had been declared lost.
     late_arrivals: int
     #: Per-thread suffixes excluded from analysis (see
-    #: :class:`~repro.analysis.predictive.DegradedWindow`).
+    #: :class:`~repro.engines.base.DegradedWindow`).
     degraded_windows: tuple[DegradedWindow, ...] = ()
 
     @property
@@ -166,7 +166,6 @@ class Observer:
         n_threads: int,
         initial_store: Mapping[VarName, Any],
         spec: Optional[str | Monitor] = None,
-        track_paths: bool = True,
         causal_log: bool = False,
         fault_tolerant: bool = False,
         stall_threshold: Optional[int] = None,
@@ -186,8 +185,7 @@ class Observer:
                                              default_spec=spec))
         elif spec is not None:
             # classic single-analysis observer
-            built.append(LtlEngine(n_threads, initial_store, spec,
-                                   track_paths=track_paths))
+            built.append(LtlEngine(n_threads, initial_store, spec))
         self._received = 0
         self._corrupted = 0
         self._finished = False

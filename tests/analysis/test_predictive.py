@@ -1,19 +1,24 @@
 """Predictive analyzer: soundness/completeness against ground truth, engine
-agreement (levels vs full), and the online streaming path (an observer's
-LTL engine)."""
+agreement (levels vs full), an engine-independent oracle (a direct
+level-by-level sweep), and the online streaming path (an observer's LTL
+engine)."""
 
 import random
 
 import pytest
 
-from repro.analysis import detect, predict
+from repro.analysis import detect, predict, predict_many
 from repro.engines import AnalysisBus, LtlEngine
+from repro.lattice import LevelByLevelBuilder
 from repro.logic import Monitor
+from repro.logic.composite import CompositeMonitor
 from repro.observer import Observer
 from repro.sched import FixedScheduler, RandomScheduler, explore_all, run_program
 from repro.workloads import (
     AUDIT_PROPERTY,
+    LANDING_OBSERVED_SCHEDULE,
     LANDING_PROPERTY,
+    XYZ_OBSERVED_SCHEDULE,
     XYZ_PROPERTY,
     landing_controller,
     random_program,
@@ -51,6 +56,82 @@ class TestEngineAgreement:
     def test_missing_spec_variable_rejected(self, xyz_execution):
         with pytest.raises(KeyError):
             predict(xyz_execution, "nonexistent == 1")
+
+
+def _oracle_case(name):
+    """``(execution, specs)``: a paper workload or a seeded random program,
+    with specs that both hold and fail somewhere in its lattice."""
+    if name == "xyz":
+        return (run_program(xyz_program(),
+                            FixedScheduler(XYZ_OBSERVED_SCHEDULE)),
+                [XYZ_PROPERTY, "x >= -1", "y <= z"])
+    if name == "landing":
+        return (run_program(landing_controller(),
+                            FixedScheduler(LANDING_OBSERVED_SCHEDULE)),
+                [LANDING_PROPERTY, "radio <= 1", "approved <= landing"])
+    if name == "bank":
+        return (run_program(transfer_program(),
+                            FixedScheduler([1, 1, 1] + [0] * 6,
+                                           strict=False)),
+                [AUDIT_PROPERTY, "a + b >= 0", "a <= 100"])
+    seed = int(name.rsplit("-", 1)[1])
+    program = random_program(random.Random(seed), n_threads=2 + seed % 2,
+                             n_vars=3, ops_per_thread=4, write_ratio=0.6)
+    return (run_program(program, RandomScheduler(seed)),
+            ["historically(v0 <= v1 + v2 + 100)", "v0 <= v1",
+             "(v0 > 0) -> [v1 == 0, v1 > v2)"])
+
+
+def _direct_sweep(execution, monitor):
+    """The level-by-level sweep driven by hand, no engine or bus."""
+    variables = sorted(monitor.variables)
+    builder = LevelByLevelBuilder(
+        execution.n_threads,
+        {v: execution.initial_store[v] for v in variables}, monitor)
+    builder.feed_many(execution.messages)
+    builder.finish()
+    return builder
+
+
+def _shape(violations, stats, variables):
+    return ([v.pretty(variables) for v in violations],
+            stats.nodes_expanded, stats.levels_completed,
+            stats.peak_resident_cuts)
+
+
+@pytest.mark.parametrize("case", ["xyz", "landing", "bank"]
+                         + [f"random-{seed}" for seed in range(6)])
+class TestDirectSweepOracle:
+    """``predict(mode="levels")`` and ``predict_many`` equal a direct
+    :class:`LevelByLevelBuilder` sweep — an engine-independent check."""
+
+    def test_predict_levels(self, case):
+        execution, specs = _oracle_case(case)
+        for spec in specs:
+            monitor = Monitor(spec)
+            variables = sorted(monitor.variables)
+            builder = _direct_sweep(execution, monitor)
+            report = predict(execution, spec, mode="levels")
+            assert _shape(report.violations, report.stats, variables) == \
+                _shape(builder.violations, builder.stats, variables), spec
+            assert report.nodes == builder.stats.nodes_expanded
+
+    def test_predict_many_attribution(self, case):
+        execution, specs = _oracle_case(case)
+        composite = CompositeMonitor(specs)
+        variables = sorted(composite.variables)
+        builder = _direct_sweep(execution, composite)
+        reports = predict_many(execution, specs)
+        assert list(reports) == [str(m.formula) for m in composite.monitors]
+        for i, monitor in enumerate(composite.monitors):
+            own = [v for v in builder.violations
+                   if i in composite.failing_specs(v.monitor_state)]
+            report = reports[str(monitor.formula)]
+            assert _shape(report.violations, report.stats, variables) == \
+                _shape(own, builder.stats, variables), str(monitor.formula)
+            observed = detect(execution, monitor)
+            assert (report.observed_ok, report.observed_violation_index) \
+                == (observed.ok, observed.violation_index)
 
 
 class TestSoundness:

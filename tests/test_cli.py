@@ -56,6 +56,39 @@ class TestRecordCheck:
         code, out = run_cli("check", trace, "--spec", "x >= -1")
         assert code == 0
 
+    @pytest.mark.parametrize("content", [None, "garbage\n"],
+                             ids=["missing", "malformed"])
+    def test_check_unreadable_trace_exits_two(self, tmp_path, content):
+        trace = tmp_path / "t.trace"
+        if content is not None:
+            trace.write_text(content)
+        code, out = run_cli("check", str(trace), "--spec", "x > 0")
+        assert code == 2
+        assert out.startswith("error: ")
+
+
+class TestSpecVariableMissing:
+    """A spec naming a variable the program lacks is a usage error on
+    every local command: one ``error:`` line and exit 2, no traceback."""
+
+    @pytest.mark.parametrize("command", [
+        "check", "demo", "observe", "stats", "analyze", "explore",
+        "archive-import"])
+    def test_exits_two_with_one_error_line(self, tmp_path, command):
+        trace = str(tmp_path / "t.trace")
+        run_cli("record", "xyz", trace)
+        argv = {
+            "check": ["check", trace],
+            "archive-import": ["archive", str(tmp_path / "a"),
+                               "--import-trace", trace],
+        }.get(command, [command, "xyz"])
+        code, out = run_cli(*argv, "--spec", "w > 0")
+        assert code == 2
+        errors = [ln for ln in out.splitlines() if ln.startswith("error: ")]
+        assert errors == [
+            "error: specification variables ['w'] absent from the "
+            "program's shared store ['x', 'y', 'z']"]
+
 
 class TestRender:
     def test_text_render(self):
@@ -235,7 +268,7 @@ class TestStats:
         import json
 
         code, out = run_cli("stats", "xyz", "--json")
-        start = out.index("{")
+        start = out.index("\n{\n") + 1
         snap = json.loads(out[start:])
         assert snap["algoa.events"]["value"] == 10
 
