@@ -49,7 +49,7 @@ def run_tolerant(execution, variables, delivery, totals, spec=SPEC):
     initial = {v: execution.initial_store[v] for v in variables}
     obs = Observer(execution.n_threads, initial, spec=spec,
                    fault_tolerant=True)
-    obs.receive_many(delivery)
+    obs.receive_batch(delivery)
     obs.finish(expected_totals=totals)
     return obs
 
@@ -108,7 +108,7 @@ def test_strict_ingestion_benchmark(benchmark):
 
     def run():
         obs = Observer(ex.n_threads, initial, spec=SPEC)
-        obs.receive_many(delivery)
+        obs.receive_batch(delivery)
         obs.finish()
         return obs
 
@@ -148,7 +148,7 @@ def test_delivery_buffer_reordered_benchmark(benchmark):
 
     def run():
         obs = Observer(ex.n_threads, initial, causal_log=True)
-        obs.receive_many(delivery)
+        obs.receive_batch(delivery)
         return obs
 
     obs = run()

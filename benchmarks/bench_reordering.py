@@ -30,7 +30,7 @@ def big_execution(seed=0):
 def observe(execution, variables, delivery, spec=None):
     initial = {v: execution.initial_store[v] for v in variables}
     obs = Observer(execution.n_threads, initial, spec=spec)
-    obs.receive_many(delivery)
+    obs.receive_batch(delivery)
     obs.finish()
     return obs
 

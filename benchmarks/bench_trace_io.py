@@ -48,7 +48,7 @@ def test_causal_delivery_fifo_benchmark(benchmark):
 
     def run():
         d = CausalDelivery(4)
-        out = list(d.offer_many(msgs))
+        out = d.offer_batch(msgs)
         assert d.pending == 0
         return out
 
@@ -69,7 +69,7 @@ def test_causal_delivery_reordered_benchmark(benchmark):
 
     def run():
         d = CausalDelivery(4)
-        out = list(d.offer_many(scrambled))
+        out = d.offer_batch(scrambled)
         assert d.pending == 0
         return out
 

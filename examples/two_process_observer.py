@@ -56,7 +56,7 @@ def main() -> None:
         print(f"  {m.pretty()}")
 
     observer = Observer(2, {"x": -1, "y": 0, "z": 0}, spec=XYZ_PROPERTY)
-    observer.receive_many(messages)
+    observer.receive_batch(messages)
     violations = observer.violations + observer.finish()
     print(f"\npredicted violations: {len(violations)}")
     for v in violations:

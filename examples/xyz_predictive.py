@@ -56,7 +56,7 @@ def main() -> None:
     delivery = deliver_all(channel, execution.messages)
     print(f"  delivery order: {[m.event.label for m in delivery]}")
     observer = Observer(2, initial, spec=XYZ_PROPERTY)
-    observer.receive_many(delivery)
+    observer.receive_batch(delivery)
     violations = observer.violations + observer.finish()
     print(f"  predicted violations: {len(violations)}")
     for v in violations:

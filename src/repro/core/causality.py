@@ -42,49 +42,32 @@ class CausalityIndex:
         self._msgs: list[Message] = []
         self._by_eid: dict[tuple[int, int], int] = {}
         self._arena = ClockArena(width=n_threads)
-        for m in messages:
-            self.add(m)
+        self.add_batch(messages)
 
     # -- construction -----------------------------------------------------------
 
     def add(self, msg: Message) -> int:
-        """Insert a message; returns its index.  Duplicate event ids rejected."""
-        if msg.clock.width != self._n:
-            raise ValueError(
-                f"message clock width {msg.clock.width} != index width {self._n}"
-            )
-        eid = msg.event.eid
-        if eid in self._by_eid:
-            raise ValueError(f"duplicate message for event {eid}")
-        idx = len(self._msgs)
-        self._msgs.append(msg)
-        self._by_eid[eid] = idx
-        self._arena.append(msg.clock)
-        return idx
+        """Insert one message: :meth:`add_batch` of one."""
+        return self.add_batch((msg,))
 
-    def add_batch(self, msgs: Sequence[Message]) -> int:
-        """Insert many messages with one arena write; returns the index of
-        the first.  Same checks as :meth:`add` (duplicates — including
-        within the batch — and width mismatches reject the offending
-        message before anything past it is inserted)."""
+    def add_batch(self, msgs: Iterable[Message]) -> int:
+        """Insert messages; returns the index of the first.  Duplicate
+        event ids — including within the batch — and width mismatches are
+        rejected; everything before the offending message is inserted,
+        nothing past it.  The clock arena is written lazily, by the first
+        bulk query after an insert."""
         start = len(self._msgs)
-        accepted: list[Message] = []
-        try:
-            for msg in msgs:
-                if msg.clock.width != self._n:
-                    raise ValueError(
-                        f"message clock width {msg.clock.width} != index "
-                        f"width {self._n}"
-                    )
-                eid = msg.event.eid
-                if eid in self._by_eid:
-                    raise ValueError(f"duplicate message for event {eid}")
-                self._by_eid[eid] = start + len(accepted)
-                accepted.append(msg)
-        finally:
-            if accepted:
-                self._msgs.extend(accepted)
-                self._arena.extend([m.clock for m in accepted])
+        for msg in msgs:
+            if msg.clock.width != self._n:
+                raise ValueError(
+                    f"message clock width {msg.clock.width} != index "
+                    f"width {self._n}"
+                )
+            eid = msg.event.eid
+            if eid in self._by_eid:
+                raise ValueError(f"duplicate message for event {eid}")
+            self._by_eid[eid] = len(self._msgs)
+            self._msgs.append(msg)
         return start
 
     def __len__(self) -> int:
@@ -136,7 +119,10 @@ class CausalityIndex:
         Theorem 3's third characterization, ``e ⊳ e' iff V < V'``, vectorizes
         as ``leq & ~eq`` over the arena.
         """
-        le = self._arena.pairwise_leq()
+        arena = self._arena
+        if len(arena) < len(self._msgs):
+            arena.extend([m.clock for m in self._msgs[len(arena):]])
+        le = arena.pairwise_leq()
         m = len(self._msgs)
         eq = le & le.T
         np.fill_diagonal(eq, True)

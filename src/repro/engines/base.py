@@ -178,7 +178,8 @@ class AnalysisEngine:
     def feed_batch(self, evs: Sequence["BusEvent"]) -> list[Any]:
         """Consume many annotated messages.  Semantically identical to
         feeding them one by one; engines override this only to amortize
-        (same final state and findings either way)."""
+        (same final state and findings either way), and then make
+        :meth:`feed` a batch of one so the engine keeps one path."""
         new: list[Any] = []
         for ev in evs:
             new.extend(self.feed(ev))

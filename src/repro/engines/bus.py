@@ -139,25 +139,14 @@ class AnalysisBus:
     # -- streaming ------------------------------------------------------------
 
     def feed(self, msg: Message) -> list[Any]:
-        """Annotate one message and fan it out; returns every engine's new
-        findings, concatenated in engine order.  With no engines nothing
-        reads the annotation, so none is computed."""
-        if not self.engines:
-            return []
-        ev = self.annotate(msg)
-        new: list[Any] = []
-        for i, engine in enumerate(self.engines):
-            found = engine.feed(ev)
-            if self._meters is not None:
-                self._meters[i].inc()
-                if found:
-                    self._finding_meters[i].inc(len(found))
-            new.extend(found)
-        return new
+        """Annotate one message and fan it out: :meth:`feed_batch` of one."""
+        return self.feed_batch((msg,))
 
     def feed_batch(self, msgs: Sequence[Message]) -> list[Any]:
-        """Annotate a batch once, then one ``feed_batch`` per engine —
-        the amortized end-to-end path (same results as per-message)."""
+        """Annotate messages once each, then one ``feed_batch`` per engine;
+        returns every engine's new findings, concatenated in engine order.
+        With no engines nothing reads the annotation, so none is
+        computed."""
         if not msgs or not self.engines:
             return []
         evs = [self.annotate(m) for m in msgs]

@@ -78,12 +78,11 @@ class LtlEngine(AnalysisEngine):
     # -- streaming ------------------------------------------------------------
 
     def feed(self, ev: BusEvent) -> list[Violation]:
-        self._builder.feed(ev.msg)
-        return self._drain()
+        return self.feed_batch((ev,))
 
     def feed_batch(self, evs: Sequence[BusEvent]) -> list[Violation]:
         """Buffer the whole batch, then advance the lattice once (same
-        final state and violations as feeding one by one)."""
+        final state and violations however the stream is chunked)."""
         self._builder.feed_many(ev.msg for ev in evs)
         return self._drain()
 

@@ -203,22 +203,17 @@ class LevelByLevelBuilder:
     # -- feeding ------------------------------------------------------------------
 
     def feed(self, msg: Message) -> None:
-        """Buffer one relevant message (any delivery order) and advance as
-        far as the received prefix allows."""
-        if self._closed:
-            raise RuntimeError("cannot feed a closed builder")
-        self._chains.insert(msg)
-        self.stats.messages_buffered += 1
-        self._advance()
+        """Buffer one relevant message: :meth:`feed_many` of one."""
+        self.feed_many((msg,))
 
     def feed_many(self, msgs: Iterable[Message]) -> None:
-        """Buffer many messages, then advance once.
+        """Buffer relevant messages (any delivery order), then advance as
+        far as the received prefix allows.
 
-        State-identical to calling :meth:`feed` per message — expansion is
-        monotone in the buffered set, so deferring :meth:`_advance` to the
-        end reaches exactly the same frontier/violations — but skips the
-        per-message O(frontier × n) readiness scans, which dominate when
-        large batches arrive (the end-to-end batching path).
+        Advancing once per call reaches the same frontier and violations
+        however the stream is chunked — expansion is monotone in the
+        buffered set — and skips the O(frontier × n) readiness scans a
+        per-message advance would repeat.
         """
         if self._closed:
             raise RuntimeError("cannot feed a closed builder")

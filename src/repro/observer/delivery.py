@@ -23,10 +23,11 @@ Fault model (see ``observer.faults``): real channels also *lose*,
 * exposes the exact missing ``(thread, index)`` slots blocking progress
   (:meth:`gaps`, :meth:`missing_for`) — per-thread sequencing from the
   clocks makes gap detection precise, not heuristic;
-* lets the observer :meth:`declare_lost` a gap after a stall, which
-  *quarantines the causal cone* of the lost slot: every buffered or
-  future message whose clock shows the lost message in its causal past can
-  never be delivered soundly and is diverted to :attr:`quarantined`.
+* declares a gap lost after a stall (``stall_threshold`` offers in a row
+  that release nothing) or at :meth:`declare_lost`, which *quarantines
+  the causal cone* of the lost slot: every buffered or future message
+  whose clock shows the lost message in its causal past can never be
+  delivered soundly and is diverted to :attr:`quarantined`.
   Messages concurrent with the loss keep flowing — graceful degradation
   instead of a permanent stall.
 
@@ -39,7 +40,7 @@ behind one gap under heavy loss).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..core.events import Message
 from ..obs import metrics as _metrics
@@ -72,7 +73,8 @@ _H_CASCADE = _metrics.REGISTRY.histogram(
     help="messages released per releasing offer (cascade length)")
 _H_BATCH = _metrics.REGISTRY.histogram(
     "delivery.batch_size", unit="messages",
-    help="messages ingested per offer_batch call (end-to-end batching)")
+    help="messages ingested per offer/offer_batch call (end-to-end "
+         "batching; single offers land a 1)")
 
 
 class CausalDelivery:
@@ -86,10 +88,17 @@ class CausalDelivery:
     0
     """
 
-    def __init__(self, n_threads: int):
+    def __init__(self, n_threads: int,
+                 stall_threshold: Optional[int] = None):
         if n_threads <= 0:
             raise ValueError("n_threads must be positive")
+        if stall_threshold is not None and stall_threshold < 1:
+            raise ValueError("stall_threshold must be >= 1 (or None)")
         self._n = n_threads
+        #: Declare the blocking gaps lost after this many offers in a row
+        #: that release nothing while messages are parked (None = never).
+        self._stall_threshold = stall_threshold
+        self._stalled_for = 0
         #: Number of messages already delivered per thread.
         self._delivered = [0] * n_threads
         #: Held-back messages, indexed by the one missing ``(thread, index)``
@@ -165,91 +174,72 @@ class CausalDelivery:
 
     # -- ingestion ------------------------------------------------------------
 
-    def _offer_core(self, msg: Message, released: list[Message]) -> object:
-        """Metrics-free ingestion shared by :meth:`offer` and
-        :meth:`offer_batch`.  Appends any releases to ``released`` and
-        returns what happened: ``"dup"``, ``"late"`` (lost slot, counted
-        as quarantined too), ``"quar"``, ``"parked"``, or the int number
-        of messages this offer released."""
-        if msg.clock.width != self._n:
-            raise ValueError(
-                f"clock width {msg.clock.width} != delivery width {self._n}"
-            )
-        eid = msg.event.eid
-        if eid in self._seen:
-            self.duplicates_dropped += 1
-            return "dup"
-        self._seen.add(eid)
-        self._seen_slots.add(msg.delivery_index)
-        if self._in_lost_cone(msg):
-            self.quarantined.append(msg)
-            if msg.delivery_index in self._lost:
-                self.late_arrivals += 1
-                return "late"
-            return "quar"
-        blocker = self._first_blocker(msg)
-        if blocker is not None:
-            self._waiting.setdefault(blocker, []).append(msg)
-            return "parked"
-        before = len(released)
-        self._deliver(msg, released)
-        return len(released) - before
-
     def offer(self, msg: Message) -> list[Message]:
-        """Ingest one message; return everything that became deliverable,
-        in causal order.  Duplicates are suppressed (counted), messages in
-        a lost slot's causal cone are quarantined."""
-        released: list[Message] = []
-        outcome = self._offer_core(msg, released)
-        if _metrics.ENABLED:
-            _C_OFFERED.inc()
-            if outcome == "dup":
-                _C_DUPLICATES.inc()
-            elif outcome == "late":
-                _C_LATE.inc()
-                _C_QUARANTINED.inc()
-            elif outcome == "quar":
-                _C_QUARANTINED.inc()
-            elif outcome == "parked":
-                _G_PENDING.set(self.pending)
-            else:
-                _C_RELEASED.inc(len(released))
-                _H_CASCADE.observe(len(released))
-                _G_PENDING.set(self.pending)
-        return released
+        """Ingest one message: :meth:`offer_batch` of one."""
+        return self.offer_batch((msg,))
 
     def offer_batch(self, msgs: Iterable[Message]) -> list[Message]:
-        """Ingest a batch; return everything that became deliverable, in
-        causal order.
+        """Ingest messages in order; return everything that became
+        deliverable, in causal order.
 
-        Semantically identical to ``[*chain(map(self.offer, msgs))]`` —
-        same releases, same order, same counter totals — but the
-        per-message instrument updates are coalesced into one pass, which
-        is where the observer's per-event Python overhead went after the
-        clock work got cheap (see ``docs/PERFORMANCE.md``).  Batch sizes
-        land in the ``delivery.batch_size`` histogram.
+        Duplicates are suppressed (counted) and messages in a lost slot's
+        causal cone are quarantined.  With a ``stall_threshold``, that
+        many offers in a row that each release nothing while messages are
+        parked declare the blocking gaps lost.  Stalls are counted per
+        message (duplicates excluded), so how a stream is chunked never
+        changes when a gap is given up on.  Instrument updates are coalesced into one pass per
+        call, and each call lands one ``delivery.batch_size`` sample.
         """
         released: list[Message] = []
-        n = dup = late = quar = 0
+        n = quar = 0
+        dup0, late0 = self.duplicates_dropped, self.late_arrivals
+        threshold = self._stall_threshold
         for msg in msgs:
-            outcome = self._offer_core(msg, released)
             n += 1
-            if outcome == "dup":
-                dup += 1
-            elif outcome == "late":
-                late += 1
+            if msg.clock.width != self._n:
+                raise ValueError(
+                    f"clock width {msg.clock.width} != delivery width "
+                    f"{self._n}"
+                )
+            eid = msg.event.eid
+            if eid in self._seen:
+                self.duplicates_dropped += 1
+                continue
+            self._seen.add(eid)
+            slot = msg.delivery_index
+            self._seen_slots.add(slot)
+            stalled = True
+            if self._lost and self._in_lost_cone(msg):
+                self.quarantined.append(msg)
                 quar += 1
-            elif outcome == "quar":
-                quar += 1
-            elif outcome != "parked" and _metrics.ENABLED and outcome:
-                _H_CASCADE.observe(outcome)
+                if slot in self._lost:
+                    self.late_arrivals += 1
+            else:
+                blocker = self._first_blocker(msg)
+                if blocker is not None:
+                    self._waiting.setdefault(blocker, []).append(msg)
+                else:
+                    before = len(released)
+                    self._deliver(msg, released)
+                    stalled = False
+                    if _metrics.ENABLED:
+                        _H_CASCADE.observe(len(released) - before)
+            if threshold is None:
+                continue
+            if not stalled or not self._waiting:
+                self._stalled_for = 0
+            else:
+                self._stalled_for += 1
+                if self._stalled_for >= threshold:
+                    self.declare_lost(self.gaps())
+                    self._stalled_for = 0
         if _metrics.ENABLED:
             _C_OFFERED.inc(n)
             _H_BATCH.observe(n)
-            if dup:
-                _C_DUPLICATES.inc(dup)
-            if late:
-                _C_LATE.inc(late)
+            if self.duplicates_dropped > dup0:
+                _C_DUPLICATES.inc(self.duplicates_dropped - dup0)
+            if self.late_arrivals > late0:
+                _C_LATE.inc(self.late_arrivals - late0)
             if quar:
                 _C_QUARANTINED.inc(quar)
             if released:
@@ -276,10 +266,6 @@ class CausalDelivery:
                     ready.append(w)
                 else:
                     self._waiting.setdefault(blocker, []).append(w)
-
-    def offer_many(self, msgs: Iterable[Message]) -> Iterator[Message]:
-        for m in msgs:
-            yield from self.offer(m)
 
     # -- gap detection and loss declaration -----------------------------------
 

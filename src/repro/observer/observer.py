@@ -147,18 +147,20 @@ class Observer:
             raising; gaps are declared lost and analysis completes over
             the delivered prefix (see :attr:`health`).
         stall_threshold: in fault-tolerant mode, declare the currently
-            blocking gaps lost after this many consecutive ingests that
-            release nothing while messages are parked (None = only declare
-            losses at :meth:`finish`).
-        thread_safe: serialize :meth:`receive`/:meth:`consume`/:meth:`finish`
-            (and :attr:`health`) behind an internal lock, so the observer
+            blocking gaps lost after this many messages in a row that
+            release nothing while messages are parked (duplicates and
+            corrupt envelopes do not count; None = only declare losses at
+            :meth:`finish`).  Kept by :class:`CausalDelivery`, per
+            message, so chunking never moves a declaration.
+        thread_safe: serialize ingestion, :meth:`finish` (and
+            :attr:`health`) behind an internal lock, so the observer
             may be driven from more than one thread — the analysis server
             hands each session's observer between reader and worker
             threads.  Off by default: single-threaded pipelines should not
             pay for a lock per message.
 
-    Use :meth:`receive` directly, or :meth:`consume` to pull from a
-    :class:`~repro.observer.channel.Channel`.
+    Use :meth:`receive_batch` (:meth:`receive` for one item) directly, or
+    :meth:`consume` to pull from a :class:`~repro.observer.channel.Channel`.
     """
 
     def __init__(
@@ -191,16 +193,14 @@ class Observer:
         self._finished = False
         self._verdicts: Optional[list[EngineVerdict]] = None
         self._tolerant = fault_tolerant
-        if stall_threshold is not None and stall_threshold < 1:
-            raise ValueError("stall_threshold must be >= 1 (or None)")
-        self._stall_threshold = stall_threshold
-        self._stalled_for = 0
         self._degraded_windows: tuple[DegradedWindow, ...] = ()
         # Causal delivery is the only way messages reach the engines: it
         # buffers arrivals and releases a linear extension of ⊳.  The
         # released order is also kept as a log on request (always in
-        # fault-tolerant mode).
-        self._delivery = CausalDelivery(n_threads)
+        # fault-tolerant mode).  Stall accounting lives there too: only a
+        # fault-tolerant observer gives up on gaps before finish().
+        self._delivery = CausalDelivery(
+            n_threads, stall_threshold if fault_tolerant else None)
         self._keep_log = causal_log or fault_tolerant
         self.causal_log: list[Message] = []
         self._bus = AnalysisBus(n_threads, built)
@@ -208,161 +208,80 @@ class Observer:
     # -- ingestion ------------------------------------------------------------
 
     def receive(self, item: Union[Message, Envelope]) -> list[Any]:
-        """Ingest one message or envelope (any order); returns
-        newly-discovered findings (violations, atomicity findings, pattern
-        matches — concatenated in engine order).
+        """Ingest one message or envelope: :meth:`receive_batch` of one."""
+        return self.receive_batch((item,))
+
+    def receive_batch(
+        self, items: Iterable[Union[Message, Envelope]]
+    ) -> list[Any]:
+        """Ingest messages/envelopes (any order); returns the findings
+        newly discovered (violations, atomicity findings, pattern matches
+        — concatenated in engine order).
+
+        The causality index, delivery buffer and bus each take the chunk
+        in one call: one index insert (:meth:`CausalityIndex.add_batch`),
+        one delivery pass (:meth:`CausalDelivery.offer_batch`, which also
+        keeps the stall count per message) and one bus fan-out
+        (:meth:`AnalysisBus.feed_batch`).  ``items`` may be a lazy
+        iterable.
 
         In strict mode (the default) a corrupted envelope or duplicate
         message raises — the perfect-channel contract of the original
-        pipeline.  In fault-tolerant mode both are counted and absorbed.
+        pipeline; so does a clock-width mismatch in either mode.  Every
+        item before the offending one has then been fully processed.  In
+        fault-tolerant mode corruption and duplicates are counted and
+        absorbed.
         """
         with self._lock:
-            return self._receive(item)
-
-    def _receive(self, item: Union[Message, Envelope]) -> list[Any]:
-        if self._finished:
-            raise RuntimeError("observer already finished")
-        self._received += 1
-        if _metrics.ENABLED:
-            _C_RECEIVED.inc()
-        if isinstance(item, Envelope):
-            if not item.ok:
-                self._corrupted += 1
-                if _metrics.ENABLED:
-                    _C_CORRUPTED.inc()
-                if not self._tolerant:
-                    raise ValueError(
-                        f"envelope seq={item.seq} failed its checksum "
-                        "(corrupt payload)"
-                    )
-                return []
-            msg = item.message
-        else:
-            msg = item
-        if self._tolerant and msg.event.eid in self.causality:
-            # duplicate: CausalDelivery counts it; nothing new to analyze
-            self._delivery.offer(msg)
-            return []
-        self.causality.add(msg)
-        released = self._delivery.offer(msg)
-        if self._keep_log:
-            self.causal_log.extend(released)
-        if self._tolerant:
-            self._check_stall(bool(released))
-        return self._bus.feed_batch(released)
-
-    def _check_stall(self, released_any: bool) -> None:
-        if released_any or self._delivery.pending == 0:
-            self._stalled_for = 0
-            return
-        self._stalled_for += 1
-        if (self._stall_threshold is not None
-                and self._stalled_for >= self._stall_threshold):
-            self._delivery.declare_lost(self._delivery.gaps())
-            self._stalled_for = 0
-
-    def receive_batch(
-        self, items: Sequence[Union[Message, Envelope]]
-    ) -> list[Any]:
-        """Ingest a batch of messages/envelopes in order; returns the
-        findings newly discovered by the batch.
-
-        Semantically identical to calling :meth:`receive` once per item —
-        same causality index, delivery releases, causal log, engine
-        state, findings and counters — but amortized: one arena write
-        (:meth:`CausalityIndex.add_batch`), one delivery pass
-        (:meth:`CausalDelivery.offer_batch`) and one bus fan-out
-        (:meth:`AnalysisBus.feed_batch`, which annotates the batch once
-        and advances every engine once) per batch instead of per
-        message.  In strict mode a corrupt envelope, width mismatch or
-        duplicate raises exactly where the per-item loop would: every item
-        before it has been fully processed.
-
-        Fault-tolerant observers with a ``stall_threshold`` fall back to
-        per-item ingestion — stall accounting is defined per ingest call,
-        and batching would change *when* gaps get declared lost.
-        """
-        with self._lock:
-            if self._tolerant and self._stall_threshold is not None:
-                new: list[Any] = []
-                for item in items:
-                    new.extend(self._receive(item))
-                return new
-            return self._receive_batch(items)
-
-    def _receive_batch(
-        self, items: Sequence[Union[Message, Envelope]]
-    ) -> list[Any]:
-        if self._finished:
-            raise RuntimeError("observer already finished")
-        new: list[Any] = []
-        msgs: list[Message] = []
-        batch_eids: set[tuple[int, int]] = set()
-
-        def flush() -> None:
-            if msgs:
-                new.extend(self._analyze_batch(msgs))
-                msgs.clear()
-                batch_eids.clear()
-
-        for item in items:
-            self._received += 1
-            if _metrics.ENABLED:
-                _C_RECEIVED.inc()
-            if isinstance(item, Envelope):
-                if not item.ok:
-                    self._corrupted += 1
-                    if _metrics.ENABLED:
-                        _C_CORRUPTED.inc()
-                    if not self._tolerant:
-                        flush()  # items before the corrupt one still count
-                        raise ValueError(
-                            f"envelope seq={item.seq} failed its checksum "
-                            "(corrupt payload)"
-                        )
-                    continue
-                msg = item.message
-            else:
-                msg = item
-            # Pre-validate here so _analyze_batch never raises mid-segment
-            # (which would commit the causality prefix without feeding the
-            # engines — a state the per-item loop can never reach).
-            if msg.clock.width != self._n:
-                flush()
-                raise ValueError(
-                    f"message clock width {msg.clock.width} != index "
-                    f"width {self._n}"
-                )
-            eid = msg.event.eid
-            if not self._tolerant and (
-                eid in self.causality or eid in batch_eids
-            ):
-                flush()
-                raise ValueError(f"duplicate message for event {eid}")
-            batch_eids.add(eid)
-            msgs.append(msg)
-        flush()
-        return new
-
-    def _analyze_batch(self, msgs: list[Message]) -> list[Any]:
-        if self._tolerant:
-            # duplicates (vs the index or within the batch) are absorbed by
-            # the delivery buffer, exactly as in the per-item path
-            fresh: list[Message] = []
+            if self._finished:
+                raise RuntimeError("observer already finished")
+            causality = self.causality
+            msgs: list[Message] = []     # for delivery, duplicates included
+            fresh: list[Message] = []    # new to the causality index
             fresh_eids: set[tuple[int, int]] = set()
-            for m in msgs:
-                eid = m.event.eid
-                if eid not in self.causality and eid not in fresh_eids:
-                    fresh_eids.add(eid)
-                    fresh.append(m)
-            if fresh:
-                self.causality.add_batch(fresh)
-        else:
-            self.causality.add_batch(msgs)
-        released = self._delivery.offer_batch(msgs)
-        if self._keep_log:
-            self.causal_log.extend(released)
-        return self._bus.feed_batch(released)
+            new: list[Any] = []
+            try:
+                for item in items:
+                    self._received += 1
+                    if _metrics.ENABLED:
+                        _C_RECEIVED.inc()
+                    if isinstance(item, Envelope):
+                        if not item.ok:
+                            self._corrupted += 1
+                            if _metrics.ENABLED:
+                                _C_CORRUPTED.inc()
+                            if not self._tolerant:
+                                raise ValueError(
+                                    f"envelope seq={item.seq} failed its "
+                                    "checksum (corrupt payload)")
+                            continue
+                        item = item.message
+                    # validated up front so the analysis below never
+                    # raises midway through a chunk
+                    if item.clock.width != self._n:
+                        raise ValueError(
+                            f"message clock width {item.clock.width} != "
+                            f"index width {self._n}")
+                    eid = item.event.eid
+                    if eid in causality or eid in fresh_eids:
+                        # duplicate: CausalDelivery counts it
+                        if not self._tolerant:
+                            raise ValueError(
+                                f"duplicate message for event {eid}")
+                    else:
+                        fresh_eids.add(eid)
+                        fresh.append(item)
+                    msgs.append(item)
+            finally:
+                # on a rejected item the prefix before it still counts
+                if msgs:
+                    if fresh:
+                        causality.add_batch(fresh)
+                    released = self._delivery.offer_batch(msgs)
+                    if self._keep_log:
+                        self.causal_log.extend(released)
+                    new = self._bus.feed_batch(released)
+            return new
 
     def rebuild(self, messages: Iterable[Union[Message, Envelope]]) -> int:
         """Crash-recovery hook: replay an archived prefix to reconstruct
@@ -380,29 +299,17 @@ class Observer:
         with self._lock:
             if self._finished:
                 raise RuntimeError("cannot rebuild a finished observer")
-            n = 0
-            for m in messages:
-                self._receive(m)
-                n += 1
+            before = self._received
+            self.receive_batch(messages)
+            n = self._received - before
         if _metrics.ENABLED:
             _C_REBUILT.inc(n)
         return n
 
     def consume(self, channel: Channel) -> list[Any]:
         """Drain whatever the channel currently delivers."""
-        new: list[Any] = []
         with _tracing.span("observer.consume"):
-            for msg in channel.drain():
-                new.extend(self.receive(msg))
-        return new
-
-    def receive_many(
-        self, messages: Iterable[Union[Message, Envelope]]
-    ) -> list[Any]:
-        new: list[Any] = []
-        for m in messages:
-            new.extend(self.receive(m))
-        return new
+            return self.receive_batch(channel.drain())
 
     def finish(
         self, expected_totals: Optional[Sequence[int]] = None
@@ -440,12 +347,13 @@ class Observer:
                     f"expected_totals has {len(expected_totals)} entries "
                     f"for {self._n} threads"
                 )
+            lost = set(d.losses)
             missing = [
                 (j, k)
                 for j in range(self._n)
                 for k in range(d.delivered_counts[j] + 1,
                                expected_totals[j] + 1)
-                if not d.arrived((j, k)) and (j, k) not in set(d.losses)
+                if not d.arrived((j, k)) and (j, k) not in lost
             ]
             d.declare_lost(missing)
         # Anything still parked waits on a chain of gaps that bottoms out at

@@ -118,8 +118,7 @@ class ServerConfig:
             the next attach is rejected with an explicit reason.
         max_queued_events: per-session bound on events parked between the
             reader thread and the worker pool.
-        workers: analysis worker threads (0 is legal and means nothing is
-            ever analyzed — useful only for backpressure tests).
+        workers: analysis worker threads (at least one).
         batch: max events one worker services per scheduling turn; small
             enough to interleave sessions fairly, large enough to amortize
             the scheduling overhead.
@@ -208,8 +207,8 @@ class ServerConfig:
             raise ValueError("max_sessions must be >= 1")
         if self.max_queued_events < 1:
             raise ValueError("max_queued_events must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
         if (self.supervised or self.recover) and not self.checkpoint_dir:
@@ -851,9 +850,6 @@ class AnalysisServer:
         build the result frame."""
         session.begin_drain()
         self._schedule(session)
-        if self.config.workers == 0 and not session.supervised:
-            session.fail("no analysis workers configured")
-            return None
         if not session.done.wait(self.config.drain_timeout):
             session.fail(
                 f"drain timed out after {self.config.drain_timeout}s")

@@ -319,8 +319,9 @@ def scan_journals(root: str | Path) -> tuple[list[SessionJournal],
 
 
 def build_observer(meta: JournalMeta) -> Observer:
-    """A fresh observer matching a journaled session's parameters —
-    identical construction to the live path, so replay parity holds."""
+    """A fresh observer matching a journaled session's parameters — the
+    one the supervised worker analyzes with, so a rebuild and the live
+    session construct it the same way."""
     return Observer(
         meta.n_threads,
         meta.initial,

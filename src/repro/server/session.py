@@ -308,10 +308,10 @@ class Session:
 
         Runs on a worker-pool thread; never on the reader.  The backlog is
         popped as one chunk (stopping at the fin sentinel) and handed to
-        :meth:`Observer.receive_batch`, so the whole chunk costs one arena
-        write and one lattice advance instead of one per event.  Returns
-        whether work remains queued.  Any exception out of the analysis
-        marks the session FAILED with the exception text.
+        :meth:`Observer.receive_batch`, so the whole chunk costs one
+        delivery pass and one lattice advance instead of one per event.
+        Returns whether work remains queued.  Any exception out of the
+        analysis marks the session FAILED with the exception text.
         """
         with self._cond:
             if self._state.terminal or not self._queue:

@@ -44,11 +44,9 @@ from typing import Any, Optional, Sequence
 
 from ..core.events import Message
 from ..engines.base import StreamVerdict
-from ..logic.monitor import Monitor
 from ..obs import metrics as _metrics
-from ..observer.observer import Observer
 from ..store.archive import catalog_footer
-from .recovery import SessionJournal
+from .recovery import SessionJournal, build_observer
 from .session import Session, SessionState
 
 __all__ = ["SupervisorConfig", "SupervisedSession"]
@@ -120,11 +118,7 @@ def _worker_main(journal_dir: str, inbox, outbox, checkpoint_every: int,
     """
     journal = SessionJournal.open_dir(journal_dir)
     meta = journal.meta
-    monitor = Monitor(meta.spec) if meta.spec else None
-    observer = Observer(
-        meta.n_threads, meta.initial, spec=monitor,
-        fault_tolerant=meta.fault_tolerant, thread_safe=True,
-        engines=list(meta.engines) or None)
+    observer = build_observer(meta)
     recovered = journal.recover_and_open()
     observer.rebuild(recovered)
     clocks: list[list[int]] = [[0] * meta.n_threads

@@ -35,8 +35,9 @@ import shutil
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..core.events import Message, VarName
 from ..engines.base import StreamVerdict
@@ -72,6 +73,17 @@ _C_REBUILT = _metrics.REGISTRY.counter(
 # Trace-id sequence extractor; tolerates an optional shard namespace
 # prefix (``sh00-s000001-xyz``) in front of the classic ``s000001-xyz``.
 _ID_SEQ = re.compile(r"^(?:[A-Za-z0-9_]+-)??s(\d{6})-")
+
+#: Messages per ``Observer.receive_batch`` call when offline re-analysis
+#: (archiving, replay) feeds a stored stream through the observer.
+INGEST_CHUNK = 512
+
+
+def ingest_chunks(messages: Iterable[Message]) -> Iterator[list[Message]]:
+    """Cut a (possibly lazy) message stream into ``INGEST_CHUNK`` lists."""
+    it = iter(messages)
+    while chunk := list(islice(it, INGEST_CHUNK)):
+        yield chunk
 
 
 def catalog_footer(program: str, spec: Optional[str], n_threads: int,
@@ -342,7 +354,9 @@ class TraceArchive:
         or the selected ``engines``) while streaming the messages into
         a pending trace, then commits with the resulting verdict — the
         ``repro archive`` CLI path.  ``messages`` may be any iterable,
-        including a lazy :func:`~repro.observer.trace.iter_trace` stream.
+        including a lazy :func:`~repro.observer.trace.iter_trace` stream;
+        it is ingested in :data:`INGEST_CHUNK`-message batches and written
+        in stream order.
         """
         from ..logic.monitor import Monitor
         from ..observer.observer import Observer
@@ -353,9 +367,10 @@ class TraceArchive:
         pending = self.begin(program, n_threads, initial, spec=spec)
         t0 = time.perf_counter()
         try:
-            for m in messages:
-                observer.receive(m)
-                pending.write(m)
+            for chunk in ingest_chunks(messages):
+                observer.receive_batch(chunk)
+                for m in chunk:
+                    pending.write(m)
             observer.finish()
         except BaseException:
             pending.abort()

@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ..core.events import Message
 from ..logic.monitor import Monitor
 from ..obs import metrics as _metrics
 from ..observer.observer import Observer
 from ..observer.trace import TraceHeader, iter_trace
-from .archive import TraceArchive
+from .archive import TraceArchive, ingest_chunks
 from .catalog import CatalogEntry, CatalogQuery
 
 __all__ = ["ReplayResult", "ReplayReport", "replay_trace", "replay_entry",
@@ -113,7 +112,8 @@ def replay_trace(path: str | Path, spec: Optional[str] = None,
     ``engines`` selects explicit analysis engines (see
     :mod:`repro.engines`) instead of the spec-implied single LTL engine —
     the differential-replay case.  The observer is the one a live session
-    runs, so every message takes the same causal-delivery path; the result
+    runs, fed in :data:`~repro.store.archive.INGEST_CHUNK`-message
+    batches the way a session's worker drains its queue; the result
     carries the final per-thread vector clocks, taken from each thread's
     last message.
     """
@@ -127,11 +127,11 @@ def replay_trace(path: str | Path, spec: Optional[str] = None,
                     for _ in range(header.n_threads)]
     events = 0
     t0 = time.perf_counter()
-    for msg in stream:
-        assert isinstance(msg, Message)
-        observer.receive(msg)
-        final_clocks[msg.thread] = tuple(msg.clock)
-        events += 1
+    for chunk in ingest_chunks(stream):
+        observer.receive_batch(chunk)
+        for msg in chunk:
+            final_clocks[msg.thread] = tuple(msg.clock)
+        events += len(chunk)
     observer.finish()
     elapsed = time.perf_counter() - t0
     if _metrics.ENABLED:

@@ -1,12 +1,13 @@
-"""Batch-ingestion parity: every *_batch entry point vs its per-item twin.
+"""Chunking parity: how a stream is cut into batches changes nothing.
 
-The end-to-end batching path (``Observer.receive_batch`` →
+Every ingestion layer (``Observer.receive_batch`` →
 ``CausalDelivery.offer_batch`` → ``AnalysisBus.feed_batch`` →
-``LtlEngine.feed_batch`` → ``LevelByLevelBuilder.feed_many``) exists purely for throughput; these
-tests pin down that it is *observationally identical* to the per-item
-path — same releases in the same order, same causal log, same violations,
-same health report, same counters — across clean, shuffled and faulty
-streams.
+``LtlEngine.feed_batch`` → ``LevelByLevelBuilder.feed_many``) has one
+implementation, the batch one; its per-item name is a batch of one.  These
+tests pin down that feeding one item at a time and feeding chunks are
+*observationally identical* — same releases in the same order, same causal
+log, same violations, same health report, same counters, same stall-driven
+loss declarations — across clean, shuffled and faulty streams.
 """
 
 import random
@@ -18,6 +19,7 @@ from repro.core.events import Envelope
 from repro.obs import metrics
 from repro.observer import Observer
 from repro.observer.delivery import CausalDelivery
+from repro.observer.faults import FaultPlan, FaultyChannel
 from repro.sched import FixedScheduler, RandomScheduler, run_program
 from repro.workloads import (
     LANDING_OBSERVED_SCHEDULE,
@@ -194,9 +196,40 @@ class TestObserverReceiveBatch:
         for m in msgs:
             one.receive(m)
         many.receive_batch(msgs)
-        # stall accounting is per ingest: both saw the same ingest sequence
+        # stall accounting is per message: chunking changes nothing
         assert one.health == many.health
         assert missing.event.eid not in many.causality
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("threshold", [1, 3])
+    def test_stall_declarations_independent_of_chunking(self, seed,
+                                                        threshold):
+        # stall accounting runs per message inside offer_batch, so a chunk
+        # boundary can never move the moment a gap is declared lost
+        ex = make_execution(seed, n_threads=3, ops=40)
+        channel = FaultyChannel(FaultPlan(drop=0.02, dup=0.05, corrupt=0.02,
+                                          delay=0.15, delay_max=4, seed=seed))
+        for m in ex.messages:
+            channel.put(m)
+        channel.close()
+        stream = list(channel.drain())
+        outcomes = []
+        for chunk in (1, 7, 64):
+            obs = Observer(ex.n_threads, dict(ex.initial_store),
+                           engines=["ltl:v0 <= 1", "atomicity"],
+                           fault_tolerant=True, stall_threshold=threshold)
+            found = []
+            for i in range(0, len(stream), chunk):
+                found.extend(obs.receive_batch(stream[i:i + chunk]))
+            found.extend(obs.finish())
+            outcomes.append((
+                obs.health,
+                [m.event.eid for m in obs.causal_log],
+                [m.event.eid for m in obs._delivery.quarantined],
+                len(found),
+                [v.to_json() for v in obs.engine_verdicts()],
+            ))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_strict_duplicate_raises_after_prefix(self):
         ex = make_execution(1)
@@ -330,7 +363,7 @@ class TestSessionBatchDrain:
         # verdict identical to a plain observer over the same stream
         ref = Observer(ex.n_threads, dict(ex.initial_store),
                        spec=LANDING_PROPERTY)
-        ref.receive_many(ex.messages)
+        ref.receive_batch(ex.messages)
         ref.finish()
         assert len(sess.observer.violations) == len(ref.violations)
         assert sess.final_clocks[ex.messages[-1].thread] == \

@@ -49,7 +49,7 @@ class TestBasics:
 
     def test_fifo_input_passes_through(self, xyz_execution):
         d = CausalDelivery(2)
-        out = list(d.offer_many(xyz_execution.messages))
+        out = d.offer_batch(xyz_execution.messages)
         assert [m.event.eid for m in out] == [
             m.event.eid for m in xyz_execution.messages]
         assert d.pending == 0
@@ -76,7 +76,7 @@ class TestBasics:
 
     def test_delivered_counts(self, xyz_execution):
         d = CausalDelivery(2)
-        list(d.offer_many(xyz_execution.messages))
+        d.offer_batch(xyz_execution.messages)
         assert d.delivered_counts == (2, 2)
 
 

@@ -249,14 +249,14 @@ class TestObserverFaultTolerance:
         rest = [m for m in ex.messages if m is not victim]
         obs = Observer(2, dict(ex.initial_store), fault_tolerant=True,
                        stall_threshold=3)
-        obs.receive_many(rest)
+        obs.receive_batch(rest)
         assert (0, 1) in obs.health.losses   # declared before finish
         obs.finish(expected_totals=totals)
         assert obs.health.pending == 0
 
     def test_health_without_delivery_layer(self, xyz_execution):
         obs = Observer(2, dict(xyz_execution.initial_store))
-        obs.receive_many(xyz_execution.messages)
+        obs.receive_batch(xyz_execution.messages)
         h = obs.health
         assert h.received == h.delivered == 4
         assert h.sound_everywhere
@@ -318,7 +318,7 @@ def test_fault_injection_soak(seed):
 
     # verdict parity with the fault-free run, restricted to the analyzed cut
     clean = Observer(n_threads, dict(ex.initial_store), spec=SOAK_SPEC)
-    clean.receive_many(ex.messages)
+    clean.receive_batch(ex.messages)
     clean.finish()
     cut = [len(per_thread.get(t, ())) for t in range(n_threads)]
     clean_restricted = {

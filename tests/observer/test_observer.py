@@ -24,13 +24,13 @@ def make_observer(execution, variables, spec=None):
 class TestIngestion:
     def test_receive_builds_causality(self, xyz_execution):
         obs = make_observer(xyz_execution, XYZ_VARS)
-        obs.receive_many(xyz_execution.messages)
+        obs.receive_batch(xyz_execution.messages)
         assert obs.n_received == 4
         assert obs.causality.count_concurrent_pairs() == 2
 
     def test_receive_after_finish_rejected(self, xyz_execution):
         obs = make_observer(xyz_execution, XYZ_VARS)
-        obs.receive_many(xyz_execution.messages)
+        obs.receive_batch(xyz_execution.messages)
         obs.finish()
         with pytest.raises(RuntimeError):
             obs.receive(xyz_execution.messages[0])
@@ -47,7 +47,7 @@ class TestIngestion:
 
     def test_no_spec_no_violations(self, xyz_execution):
         obs = make_observer(xyz_execution, XYZ_VARS)
-        obs.receive_many(xyz_execution.messages)
+        obs.receive_batch(xyz_execution.messages)
         assert obs.finish() == []
         assert obs.violations == []
         assert obs.stats is None
@@ -58,7 +58,7 @@ class TestReorderingInvariance:
 
     def test_fifo_order_is_linear_extension(self, xyz_execution):
         obs = make_observer(xyz_execution, XYZ_VARS)
-        obs.receive_many(xyz_execution.messages)
+        obs.receive_batch(xyz_execution.messages)
         assert obs.observed_order_consistent()
 
     @pytest.mark.parametrize("seed", range(6))
@@ -66,7 +66,7 @@ class TestReorderingInvariance:
         channel = ReorderingChannel(seed=seed, window=3)
         delivery = deliver_all(channel, xyz_execution.messages)
         obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
-        obs.receive_many(delivery)
+        obs.receive_batch(delivery)
         obs.finish()
         assert len(obs.violations) == 1
         assert obs.causality.count_concurrent_pairs() == 2
@@ -79,7 +79,7 @@ class TestReorderingInvariance:
         delivery = deliver_all(channel, landing_execution.messages)
         obs = make_observer(landing_execution, LANDING_VARS,
                             spec=LANDING_PROPERTY)
-        obs.receive_many(delivery)
+        obs.receive_batch(delivery)
         obs.finish()
         assert len(obs.violations) == 1
 
@@ -88,7 +88,7 @@ class TestReorderingInvariance:
         for seed in range(10):
             random.Random(seed).shuffle(msgs)
             obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
-            obs.receive_many(msgs)
+            obs.receive_batch(msgs)
             obs.finish()
             assert len(obs.violations) == 1, seed
 
@@ -116,7 +116,7 @@ class TestSocketTransport:
         sender.close()
         received = transport.wait(timeout=10)
         obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
-        obs.receive_many(received)
+        obs.receive_batch(received)
         obs.finish()
         assert len(obs.violations) == 1
 
@@ -135,13 +135,13 @@ class TestCausalLog:
             random.Random(seed).shuffle(msgs)
             obs = Observer(2, {v: xyz_execution.initial_store[v]
                                for v in ("x", "y", "z")}, causal_log=True)
-            obs.receive_many(msgs)
+            obs.receive_batch(msgs)
             assert len(obs.causal_log) == 4
             assert is_linear_extension(obs.causal_log)
 
     def test_causal_log_disabled_by_default(self, xyz_execution):
         obs = Observer(2, dict(xyz_execution.initial_store))
-        obs.receive_many(xyz_execution.messages)
+        obs.receive_batch(xyz_execution.messages)
         assert obs.causal_log == []
 
 
@@ -162,14 +162,14 @@ class TestStrictGap:
         kept = [m for m in xyz_execution.messages if m.event.eid != (0, 2)]
         obs = Observer(2, {v: xyz_execution.initial_store[v]
                            for v in XYZ_VARS}, **selection)
-        obs.receive_many(kept)
+        obs.receive_batch(kept)
         with pytest.raises(RuntimeError, match="missing relevant messages"):
             obs.finish()
 
     def test_health_counts_parked_messages(self, xyz_execution):
         kept = [m for m in xyz_execution.messages if m.event.eid != (0, 2)]
         obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
-        obs.receive_many(kept)
+        obs.receive_batch(kept)
         health = obs.health
         assert (health.received, health.delivered, health.pending) == \
             (3, 0, 3)

@@ -1,6 +1,7 @@
 """The multi-session analysis server: admission, analysis, lifecycle."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from repro.server import (
     attach,
     fetch_status,
 )
+from repro.server.session import Session
 from repro.workloads import XYZ_PROPERTY, XYZ_VARS
 
 
@@ -178,23 +180,35 @@ class TestAdmissionControl:
 
 class TestBackpressureAndOverload:
     def test_overload_fails_session_explicitly(self, xyz_execution,
-                                               xyz_initial):
-        # No workers: nothing drains, so a tiny queue must overflow and the
-        # server must answer with an err frame -- not stall the client.
-        config = ServerConfig(port=0, workers=0, max_queued_events=2,
+                                               xyz_initial, monkeypatch):
+        # The one worker stalls inside process_batch until the test ends:
+        # nothing drains, so a tiny queue must overflow and the server must
+        # answer with an err frame -- not stall the client.
+        release = threading.Event()
+        process_batch = Session.process_batch
+
+        def stalled(self, *args, **kwargs):
+            release.wait(timeout=30.0)
+            return process_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "process_batch", stalled)
+        config = ServerConfig(port=0, workers=1, max_queued_events=2,
                               overload_timeout=0.05)
         with AnalysisServer(config) as srv:
-            session = attach(srv.host, srv.port,
-                             n_threads=xyz_execution.n_threads,
-                             initial=xyz_initial, spec=XYZ_PROPERTY,
-                             config=RetransmitConfig(window=64))
-            with pytest.raises(ReliableTransportError, match="overload"):
-                for _ in range(200):
-                    for m in xyz_execution.messages:
-                        session.send(m)
-                session.close(timeout=5.0)
-            assert srv.wait_idle(timeout=10.0)
-            status = fetch_status(srv.host, srv.port)
+            try:
+                session = attach(srv.host, srv.port,
+                                 n_threads=xyz_execution.n_threads,
+                                 initial=xyz_initial, spec=XYZ_PROPERTY,
+                                 config=RetransmitConfig(window=64))
+                with pytest.raises(ReliableTransportError, match="overload"):
+                    for _ in range(200):
+                        for m in xyz_execution.messages:
+                            session.send(m)
+                    session.close(timeout=5.0)
+                assert srv.wait_idle(timeout=10.0)
+                status = fetch_status(srv.host, srv.port)
+            finally:
+                release.set()   # let the worker go before shutdown
         (record,) = status["sessions"]
         assert record["state"] == SessionState.FAILED.value
         assert "overload" in record["error"]
@@ -274,6 +288,7 @@ class TestServerConfig:
         {"max_queued_events": 0},
         {"workers": -1},
         {"batch": 0},
+        {"workers": 0},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

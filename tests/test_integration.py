@@ -161,7 +161,7 @@ class TestSocketEndToEnd:
         sender.close()
         received = transport.wait()
         obs = Observer(2, {"x": -1, "y": 0, "z": 0}, spec=XYZ_PROPERTY)
-        obs.receive_many(received)
+        obs.receive_batch(received)
         obs.finish()
         # via trace file
         path = tmp_path / "t.trace"
