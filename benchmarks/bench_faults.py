@@ -48,7 +48,7 @@ def faulty_delivery(execution, plan):
 def run_tolerant(execution, variables, delivery, totals, spec=SPEC):
     initial = {v: execution.initial_store[v] for v in variables}
     obs = Observer(execution.n_threads, initial, spec=spec,
-                   fault_tolerant=True)
+                   fault_tolerant=True, causal_log=True)
     obs.receive_batch(delivery)
     obs.finish(expected_totals=totals)
     return obs

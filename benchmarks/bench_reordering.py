@@ -10,6 +10,7 @@ import random
 
 from conftest import table
 
+from repro.core.causality import CausalityIndex
 from repro.observer import (
     FifoChannel,
     MultiChannel,
@@ -27,9 +28,10 @@ def big_execution(seed=0):
     return program, run_program(program, RandomScheduler(seed))
 
 
-def observe(execution, variables, delivery, spec=None):
+def observe(execution, variables, delivery, spec=None, causal_log=False):
     initial = {v: execution.initial_store[v] for v in variables}
-    obs = Observer(execution.n_threads, initial, spec=spec)
+    obs = Observer(execution.n_threads, initial, spec=spec,
+                   causal_log=causal_log)
     obs.receive_batch(delivery)
     obs.finish()
     return obs
@@ -58,17 +60,19 @@ def test_verdict_invariance_across_channels(xyz_execution):
 def test_causality_identical_under_reordering():
     program, ex = big_execution()
     variables = sorted(program.default_relevance_vars())
-    ref = observe(ex, variables, list(ex.messages))
-    ref_matrix = ref.causality.relation_matrix()
-    ref_eids = [m.event.eid for m in ref.causality.messages]
+    ref = observe(ex, variables, list(ex.messages), causal_log=True)
+    ref_idx = CausalityIndex(ex.n_threads, ref.causal_log)
+    assert len(ref_idx) == len(ex.messages)
+    ref_matrix = ref_idx.relation_matrix()
+    ref_eids = [m.event.eid for m in ref_idx.messages]
     for seed in range(4):
         delivery = deliver_all(ReorderingChannel(seed=seed, window=5),
                                ex.messages)
-        obs = observe(ex, variables, delivery)
+        obs = observe(ex, variables, delivery, causal_log=True)
+        idx = CausalityIndex(ex.n_threads, obs.causal_log)
         # align by event id before comparing relations
-        order = [obs.causality.messages.index(obs.causality.message(e))
-                 for e in ref_eids]
-        m = obs.causality.relation_matrix()[order][:, order]
+        order = [idx.messages.index(idx.message(e)) for e in ref_eids]
+        m = idx.relation_matrix()[order][:, order]
         assert (m == ref_matrix).all()
 
 

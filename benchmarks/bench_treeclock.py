@@ -157,8 +157,8 @@ def _burst_messages(n_events: int, n_threads: int = 4):
 def test_single_session_ingest_throughput(quick):
     """The ≥100k events/s acceptance gate: batched observer, no spec.
 
-    This is the sustained ingest rate of one session — causal delivery,
-    causality index and causal log all on, predictor off (the spec-on
+    This is the sustained ingest rate of one session — causal delivery
+    and causal log on, predictor off (the spec-on
     rate is lattice-bound, not clock-bound; see docs/PERFORMANCE.md).
     Messages are pre-generated so only ingestion is timed.
     """

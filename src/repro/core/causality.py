@@ -5,10 +5,11 @@ Theorem 3, can recover the relevant causal partial order ``⊳``::
 
     e ⊳ e'   iff   V[i] <= V'[i]   iff   V < V'
 
-:class:`CausalityIndex` stores messages and answers precedence, concurrency,
-covering-relation (Hasse diagram) and linear-extension queries.  It is the
-bridge between the raw message stream and the computation lattice
-(`repro.lattice`).
+:class:`CausalityIndex` is built once over a set of messages and answers
+precedence, concurrency, covering-relation (Hasse diagram) and
+linear-extension queries, for offline tools such as lattice rendering and
+race detection.  The online observer keeps no index: deciding delivery
+needs only per-thread counts (:mod:`repro.observer.delivery`).
 
 Two comparison kernels coexist (ablation: ``benchmarks/bench_overhead.py``):
 scalar Theorem-3 tests (two int compares per query — optimal for point
@@ -29,10 +30,12 @@ __all__ = ["CausalityIndex", "hasse_reduction", "is_linear_extension"]
 
 
 class CausalityIndex:
-    """An incrementally-built index over received messages.
+    """An index over a set of received messages, built once.
 
     Messages may arrive in any delivery order; the index keyed by event id
-    ``(thread, seq)`` is insensitive to it.
+    ``(thread, seq)`` is insensitive to it.  Duplicate event ids and clock
+    width mismatches are rejected.  The clock arena is written lazily, by
+    the first bulk query.
     """
 
     def __init__(self, n_threads: int, messages: Iterable[Message] = ()):
@@ -42,33 +45,17 @@ class CausalityIndex:
         self._msgs: list[Message] = []
         self._by_eid: dict[tuple[int, int], int] = {}
         self._arena = ClockArena(width=n_threads)
-        self.add_batch(messages)
-
-    # -- construction -----------------------------------------------------------
-
-    def add(self, msg: Message) -> int:
-        """Insert one message: :meth:`add_batch` of one."""
-        return self.add_batch((msg,))
-
-    def add_batch(self, msgs: Iterable[Message]) -> int:
-        """Insert messages; returns the index of the first.  Duplicate
-        event ids — including within the batch — and width mismatches are
-        rejected; everything before the offending message is inserted,
-        nothing past it.  The clock arena is written lazily, by the first
-        bulk query after an insert."""
-        start = len(self._msgs)
-        for msg in msgs:
-            if msg.clock.width != self._n:
+        for msg in messages:
+            if msg.clock.width != n_threads:
                 raise ValueError(
                     f"message clock width {msg.clock.width} != index "
-                    f"width {self._n}"
+                    f"width {n_threads}"
                 )
             eid = msg.event.eid
             if eid in self._by_eid:
                 raise ValueError(f"duplicate message for event {eid}")
             self._by_eid[eid] = len(self._msgs)
             self._msgs.append(msg)
-        return start
 
     def __len__(self) -> int:
         return len(self._msgs)

@@ -17,9 +17,11 @@ input passes through unchanged.
 Fault model (see ``observer.faults``): real channels also *lose*,
 *duplicate* and *corrupt* messages.  The buffer therefore
 
-* suppresses duplicate event ids (counted in :attr:`duplicates_dropped`)
-  instead of treating them as caller bugs — duplication is a normal
-  transport fault;
+* suppresses duplicates (counted in :attr:`duplicates_dropped`) instead
+  of treating them as caller bugs — duplication is a normal transport
+  fault.  A duplicate is keyed on the delivery slot ``(thread, index)``:
+  a slot already delivered (``index <= delivered[thread]``) or already
+  held (parked or quarantined) takes no second message;
 * exposes the exact missing ``(thread, index)`` slots blocking progress
   (:meth:`gaps`, :meth:`missing_for`) — per-thread sequencing from the
   clocks makes gap detection precise, not heuristic;
@@ -35,6 +37,10 @@ Held-back messages are indexed by the single ``(thread, index)`` slot they
 are currently waiting on, so a release does O(woken) work rather than
 rescanning the whole buffer (the buffer can hold thousands of messages
 behind one gap under heavy loss).
+
+State is bounded by what is still undecided: per-thread delivered counts,
+the held-back messages and their slots, and the lost slots with their
+quarantined cones.  Nothing is kept per delivered message.
 """
 
 from __future__ import annotations
@@ -106,11 +112,11 @@ class CausalDelivery:
         #: undelivered index of their thread, so there are at most
         #: ``n_threads`` live buckets; bucket order is arrival order.
         self._waiting: dict[tuple[int, int], list[Message]] = {}
-        self._seen: set[tuple[int, int]] = set()
-        #: Delivery slots ``(thread, clock[thread])`` that have *arrived*
-        #: (delivered, parked or quarantined) — distinguishes a slot that is
-        #: merely blocked from one that never showed up at all.
-        self._seen_slots: set[tuple[int, int]] = set()
+        #: Undelivered slots ``(thread, clock[thread])`` whose message has
+        #: arrived (parked or quarantined).  With the delivered counts it
+        #: answers both "duplicate?" and :meth:`arrived`; a slot leaves it
+        #: when its message is delivered.
+        self._held: set[tuple[int, int]] = set()
         #: ``(thread, index)`` slots declared lost (never deliverable).
         self._lost: set[tuple[int, int]] = set()
         #: Messages causally after a lost slot — undeliverable, diverted.
@@ -182,34 +188,40 @@ class CausalDelivery:
         """Ingest messages in order; return everything that became
         deliverable, in causal order.
 
-        Duplicates are suppressed (counted) and messages in a lost slot's
-        causal cone are quarantined.  With a ``stall_threshold``, that
-        many offers in a row that each release nothing while messages are
-        parked declare the blocking gaps lost.  Stalls are counted per
-        message (duplicates excluded), so how a stream is chunked never
-        changes when a gap is given up on.  Instrument updates are coalesced into one pass per
-        call, and each call lands one ``delivery.batch_size`` sample.
+        Every clock width is checked before any message changes state, so
+        a rejected batch leaves the buffer exactly as it was.  Duplicates
+        (a second message for a delivered or held slot) are suppressed and
+        counted, and messages in a lost slot's causal cone are
+        quarantined.  With a ``stall_threshold``, that many offers in a
+        row that each release nothing while messages are parked declare
+        the blocking gaps lost.  Stalls are counted per message
+        (duplicates excluded), so how a stream is chunked never changes
+        when a gap is given up on.  Instrument updates are coalesced into
+        one pass per call, and each call lands one ``delivery.batch_size``
+        sample.
         """
-        released: list[Message] = []
-        n = quar = 0
-        dup0, late0 = self.duplicates_dropped, self.late_arrivals
-        threshold = self._stall_threshold
+        if not isinstance(msgs, (list, tuple)):
+            msgs = list(msgs)
+        width = self._n
         for msg in msgs:
-            n += 1
-            if msg.clock.width != self._n:
+            if msg.clock.width != width:
                 raise ValueError(
                     f"clock width {msg.clock.width} != delivery width "
-                    f"{self._n}"
+                    f"{width}"
                 )
-            eid = msg.event.eid
-            if eid in self._seen:
+        released: list[Message] = []
+        quar = 0
+        dup0, late0 = self.duplicates_dropped, self.late_arrivals
+        threshold = self._stall_threshold
+        delivered, held = self._delivered, self._held
+        for msg in msgs:
+            slot = msg.delivery_index
+            if slot[1] <= delivered[slot[0]] or slot in held:
                 self.duplicates_dropped += 1
                 continue
-            self._seen.add(eid)
-            slot = msg.delivery_index
-            self._seen_slots.add(slot)
             stalled = True
             if self._lost and self._in_lost_cone(msg):
+                held.add(slot)
                 self.quarantined.append(msg)
                 quar += 1
                 if slot in self._lost:
@@ -217,6 +229,7 @@ class CausalDelivery:
             else:
                 blocker = self._first_blocker(msg)
                 if blocker is not None:
+                    held.add(slot)
                     self._waiting.setdefault(blocker, []).append(msg)
                 else:
                     before = len(released)
@@ -234,8 +247,8 @@ class CausalDelivery:
                     self.declare_lost(self.gaps())
                     self._stalled_for = 0
         if _metrics.ENABLED:
-            _C_OFFERED.inc(n)
-            _H_BATCH.observe(n)
+            _C_OFFERED.inc(len(msgs))
+            _H_BATCH.observe(len(msgs))
             if self.duplicates_dropped > dup0:
                 _C_DUPLICATES.inc(self.duplicates_dropped - dup0)
             if self.late_arrivals > late0:
@@ -263,6 +276,7 @@ class CausalDelivery:
             for w in woken:
                 blocker = self._first_blocker(w)
                 if blocker is None:
+                    self._held.discard(w.delivery_index)
                     ready.append(w)
                 else:
                     self._waiting.setdefault(blocker, []).append(w)
@@ -275,8 +289,10 @@ class CausalDelivery:
         return sorted(self._waiting)
 
     def arrived(self, slot: tuple[int, int]) -> bool:
-        """Has the message for this delivery slot ever shown up?"""
-        return slot in self._seen_slots
+        """Has the message for this delivery slot ever shown up (delivered,
+        parked or quarantined)?"""
+        j, k = slot
+        return k <= self._delivered[j] or slot in self._held
 
     def declare_lost(self, slots: Iterable[tuple[int, int]]) -> list[Message]:
         """Declare ``(thread, index)`` slots lost and quarantine their causal

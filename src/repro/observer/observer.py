@@ -1,16 +1,20 @@
 """The external observer (paper Fig. 4, monitoring module).
 
 Receives messages ``⟨e, i, V⟩`` in whatever order the transport delivers
-them, reconstructs the relevant causality via Theorem 3, and (optionally)
-runs the predictive analyzer online.  The observer never assumes in-order
+them, releases them in causal order via Theorem 3, and (optionally) runs
+the predictive analyzer online.  The observer never assumes in-order
 delivery: per-thread sequencing comes from the clocks themselves
-(``clock[thread]`` is the event's 1-based relevant index).
+(``clock[thread]`` is the event's 1-based relevant index).  Its own
+per-session state is the delivery buffer's per-thread delivered counts
+plus the messages still held back: nothing grows with the messages
+already delivered unless ``causal_log=True`` asks for the released order.
 
 Fault tolerance (``fault_tolerant=True``) extends that to an *imperfect*
 wire.  The same per-thread sequencing that makes reordering harmless makes
 loss, duplication and corruption **detectable**:
 
-* a duplicate carries an event id already seen → suppressed and counted;
+* a duplicate fills a delivery slot ``(thread, index)`` already delivered
+  or held → suppressed and counted;
 * a corrupted :class:`~repro.core.events.Envelope` fails its send-time
   checksum → counted, payload never trusted;
 * a lost message leaves a precise ``(thread, index)`` gap that blocks the
@@ -32,7 +36,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from ..core.causality import CausalityIndex
 from ..core.events import Envelope, Message, VarName
 from ..engines.base import (
     AnalysisEngine,
@@ -142,7 +145,8 @@ class Observer:
             are computed once per delivered message and fanned out.  Every
             engine only ever sees causal-delivery releases (a linear
             extension of ⊳), whatever the arrival order.
-        causal_log: keep every released message in :attr:`causal_log`.
+        causal_log: keep every released message in :attr:`causal_log`
+            (off by default, in either mode: the log grows with the stream).
         fault_tolerant: tolerate loss/duplication/corruption instead of
             raising; gaps are declared lost and analysis completes over
             the delivered prefix (see :attr:`health`).
@@ -176,7 +180,6 @@ class Observer:
     ):
         self._lock = threading.RLock() if thread_safe else nullcontext()
         self._n = n_threads
-        self.causality = CausalityIndex(n_threads)
         built: list[AnalysisEngine] = []
         if engines is not None:
             for sel in engines:
@@ -195,13 +198,13 @@ class Observer:
         self._tolerant = fault_tolerant
         self._degraded_windows: tuple[DegradedWindow, ...] = ()
         # Causal delivery is the only way messages reach the engines: it
-        # buffers arrivals and releases a linear extension of ⊳.  The
-        # released order is also kept as a log on request (always in
-        # fault-tolerant mode).  Stall accounting lives there too: only a
+        # validates, de-duplicates and buffers arrivals and releases a
+        # linear extension of ⊳.  The released order is also kept as a log
+        # on request.  Stall accounting lives there too: only a
         # fault-tolerant observer gives up on gaps before finish().
         self._delivery = CausalDelivery(
             n_threads, stall_threshold if fault_tolerant else None)
-        self._keep_log = causal_log or fault_tolerant
+        self._keep_log = causal_log
         self.causal_log: list[Message] = []
         self._bus = AnalysisBus(n_threads, built)
 
@@ -218,69 +221,56 @@ class Observer:
         newly discovered (violations, atomicity findings, pattern matches
         — concatenated in engine order).
 
-        The causality index, delivery buffer and bus each take the chunk
-        in one call: one index insert (:meth:`CausalityIndex.add_batch`),
-        one delivery pass (:meth:`CausalDelivery.offer_batch`, which also
-        keeps the stall count per message) and one bus fan-out
-        (:meth:`AnalysisBus.feed_batch`).  ``items`` may be a lazy
-        iterable.
+        The loop here only counts items and unwraps envelopes (corrupt
+        ones are counted and skipped); the chunk then takes one delivery
+        pass (:meth:`CausalDelivery.offer_batch`, which checks clock
+        widths, drops duplicates and keeps the stall count per message)
+        and one bus fan-out (:meth:`AnalysisBus.feed_batch`).  ``items``
+        may be a lazy iterable.
 
-        In strict mode (the default) a corrupted envelope or duplicate
-        message raises — the perfect-channel contract of the original
-        pipeline; so does a clock-width mismatch in either mode.  Every
-        item before the offending one has then been fully processed.  In
-        fault-tolerant mode corruption and duplicates are counted and
+        A clock-width mismatch, in either mode, rejects the whole chunk:
+        nothing in it is counted or reaches delivery or the engines.  In
+        strict mode (the default) a chunk holding a corrupted envelope or
+        a duplicate message raises — the perfect-channel contract of the
+        original pipeline — after delivery and analysis took the chunk,
+        so every item before the offending one has been fully processed.
+        In fault-tolerant mode corruption and duplicates are counted and
         absorbed.
         """
         with self._lock:
             if self._finished:
                 raise RuntimeError("observer already finished")
-            causality = self.causality
-            msgs: list[Message] = []     # for delivery, duplicates included
-            fresh: list[Message] = []    # new to the causality index
-            fresh_eids: set[tuple[int, int]] = set()
-            new: list[Any] = []
-            try:
-                for item in items:
-                    self._received += 1
-                    if _metrics.ENABLED:
-                        _C_RECEIVED.inc()
-                    if isinstance(item, Envelope):
-                        if not item.ok:
-                            self._corrupted += 1
-                            if _metrics.ENABLED:
-                                _C_CORRUPTED.inc()
-                            if not self._tolerant:
-                                raise ValueError(
-                                    f"envelope seq={item.seq} failed its "
-                                    "checksum (corrupt payload)")
-                            continue
-                        item = item.message
-                    # validated up front so the analysis below never
-                    # raises midway through a chunk
-                    if item.clock.width != self._n:
-                        raise ValueError(
-                            f"message clock width {item.clock.width} != "
-                            f"index width {self._n}")
-                    eid = item.event.eid
-                    if eid in causality or eid in fresh_eids:
-                        # duplicate: CausalDelivery counts it
-                        if not self._tolerant:
-                            raise ValueError(
-                                f"duplicate message for event {eid}")
-                    else:
-                        fresh_eids.add(eid)
-                        fresh.append(item)
-                    msgs.append(item)
-            finally:
-                # on a rejected item the prefix before it still counts
-                if msgs:
-                    if fresh:
-                        causality.add_batch(fresh)
-                    released = self._delivery.offer_batch(msgs)
-                    if self._keep_log:
-                        self.causal_log.extend(released)
-                    new = self._bus.feed_batch(released)
+            d = self._delivery
+            msgs: list[Message] = []
+            n = corrupted = 0
+            for item in items:
+                n += 1
+                if isinstance(item, Envelope):
+                    if not item.ok:
+                        corrupted += 1
+                        continue
+                    item = item.message
+                msgs.append(item)
+            dup0 = d.duplicates_dropped
+            released = d.offer_batch(msgs) if msgs else []
+            self._received += n
+            self._corrupted += corrupted
+            if _metrics.ENABLED:
+                _C_RECEIVED.inc(n)
+                if corrupted:
+                    _C_CORRUPTED.inc(corrupted)
+            if self._keep_log:
+                self.causal_log.extend(released)
+            new = self._bus.feed_batch(released)
+            if not self._tolerant:
+                if corrupted:
+                    raise ValueError(
+                        f"{corrupted} envelope(s) failed their checksum "
+                        "(corrupt payload)")
+                if d.duplicates_dropped > dup0:
+                    raise ValueError(
+                        f"{d.duplicates_dropped - dup0} duplicate "
+                        "message(s) in the chunk")
             return new
 
     def rebuild(self, messages: Iterable[Union[Message, Envelope]]) -> int:
@@ -289,8 +279,8 @@ class Observer:
 
         The analysis depends only on the message sequence, so feeding the
         journaled prefix back through the normal ingestion path lands the
-        observer — causality index, delivery buffer, predictor lattice and
-        accumulated violations — in exactly the state it held when that
+        observer — delivery buffer, predictor lattice and accumulated
+        violations — in exactly the state it held when that
         prefix was live (the determinism the replay engine already relies
         on).  Returns the number of messages replayed.  Must be called
         before :meth:`finish`; the observer must not have ingested anything
@@ -452,10 +442,3 @@ class Observer:
             late_arrivals=d.late_arrivals,
             degraded_windows=self._degraded_windows,
         )
-
-    def observed_order_consistent(self) -> bool:
-        """Sanity check: received order is *some* linear extension of ⊳ when
-        delivery was FIFO; may be False under reordering — by design."""
-        from ..core.causality import is_linear_extension
-
-        return is_linear_extension(list(self.causality.messages))

@@ -28,15 +28,12 @@ def fig6_index(xyz_execution):
 
 class TestConstruction:
     def test_duplicate_eid_rejected(self):
-        idx = CausalityIndex(2)
-        idx.add(msg(0, 1, (1, 0)))
-        with pytest.raises(ValueError):
-            idx.add(msg(0, 1, (2, 0)))
+        with pytest.raises(ValueError, match="duplicate"):
+            CausalityIndex(2, [msg(0, 1, (1, 0)), msg(0, 1, (2, 0))])
 
     def test_width_mismatch_rejected(self):
-        idx = CausalityIndex(2)
-        with pytest.raises(ValueError):
-            idx.add(msg(0, 1, (1, 0, 0)))
+        with pytest.raises(ValueError, match="width"):
+            CausalityIndex(2, [msg(0, 1, (1, 0, 0))])
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

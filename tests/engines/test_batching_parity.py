@@ -129,9 +129,9 @@ class TestFaultInjection:
         stream = faulty_stream(list(ex.messages), seed)
         init = dict(ex.initial_store)
         one = Observer(ex.n_threads, init, engines=engines,
-                       fault_tolerant=True)
+                       fault_tolerant=True, causal_log=True)
         many = Observer(ex.n_threads, init, engines=engines,
-                        fault_tolerant=True)
+                        fault_tolerant=True, causal_log=True)
         drain(one, stream, None)
         drain(many, stream, 5)
         one.finish()
@@ -152,9 +152,9 @@ class TestFaultInjection:
             totals[m.thread] += 1
         init = dict(ex.initial_store)
         one = Observer(ex.n_threads, init, engines=engines,
-                       fault_tolerant=True)
+                       fault_tolerant=True, causal_log=True)
         many = Observer(ex.n_threads, init, engines=engines,
-                        fault_tolerant=True)
+                        fault_tolerant=True, causal_log=True)
         drain(one, msgs, None)
         drain(many, msgs, 4)
         one.finish(expected_totals=totals)
@@ -173,7 +173,7 @@ class TestFaultInjection:
         msgs = list(ex.messages[:4])
         with pytest.raises(ValueError, match="duplicate"):
             obs.receive_batch(msgs + [msgs[0]])
-        assert len(obs.causality) == 4
+        assert obs.health.delivered == 4
 
 
 class TestEngineAccessors:

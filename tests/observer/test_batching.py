@@ -127,10 +127,11 @@ class TestObserverReceiveBatch:
     @pytest.mark.parametrize("kwargs", [
         {},                                         # strict
         {"causal_log": True},                       # strict + causal log
-        {"fault_tolerant": True},                   # tolerant
+        {"fault_tolerant": True, "causal_log": True},   # tolerant
         {"spec": LANDING_PROPERTY},                 # strict + ltl engine
         {"spec": LANDING_PROPERTY, "causal_log": True},
-        {"spec": LANDING_PROPERTY, "fault_tolerant": True},
+        {"spec": LANDING_PROPERTY, "fault_tolerant": True,
+         "causal_log": True},
     ], ids=["plain", "log", "tolerant", "spec", "spec-log", "spec-tolerant"])
     @pytest.mark.parametrize("order_seed", [None, 13])
     def test_parity_with_receive(self, kwargs, order_seed):
@@ -151,7 +152,7 @@ class TestObserverReceiveBatch:
         assert [v.cut for v in v_one] == [v.cut for v in v_many]
         assert [m.event.eid for m in one.causal_log] == \
                [m.event.eid for m in many.causal_log]
-        assert len(one.causality) == len(many.causality)
+        assert one.health.delivered == many.health.delivered
         assert one.health == many.health
 
     def test_tolerant_absorbs_faults_identically(self):
@@ -171,9 +172,9 @@ class TestObserverReceiveBatch:
         stream.insert(len(stream) // 2, bad)
         init = dict(ex.initial_store)
         one = Observer(ex.n_threads, init, spec=LANDING_PROPERTY,
-                       fault_tolerant=True)
+                       fault_tolerant=True, causal_log=True)
         many = Observer(ex.n_threads, init, spec=LANDING_PROPERTY,
-                        fault_tolerant=True)
+                        fault_tolerant=True, causal_log=True)
         for item in stream:
             one.receive(item)
         many.receive_batch(stream)
@@ -190,15 +191,18 @@ class TestObserverReceiveBatch:
         msgs = list(ex.messages)
         missing = msgs.pop(0)
         one = Observer(ex.n_threads, dict(ex.initial_store),
-                       fault_tolerant=True, stall_threshold=3)
+                       fault_tolerant=True, stall_threshold=3,
+                       causal_log=True)
         many = Observer(ex.n_threads, dict(ex.initial_store),
-                        fault_tolerant=True, stall_threshold=3)
+                        fault_tolerant=True, stall_threshold=3,
+                        causal_log=True)
         for m in msgs:
             one.receive(m)
         many.receive_batch(msgs)
         # stall accounting is per message: chunking changes nothing
         assert one.health == many.health
-        assert missing.event.eid not in many.causality
+        assert missing.event.eid not in CausalityIndex(ex.n_threads,
+                                                       many.causal_log)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("threshold", [1, 3])
@@ -217,7 +221,8 @@ class TestObserverReceiveBatch:
         for chunk in (1, 7, 64):
             obs = Observer(ex.n_threads, dict(ex.initial_store),
                            engines=["ltl:v0 <= 1", "atomicity"],
-                           fault_tolerant=True, stall_threshold=threshold)
+                           fault_tolerant=True, stall_threshold=threshold,
+                           causal_log=True)
             found = []
             for i in range(0, len(stream), chunk):
                 found.extend(obs.receive_batch(stream[i:i + chunk]))
@@ -239,7 +244,7 @@ class TestObserverReceiveBatch:
         with pytest.raises(ValueError, match="duplicate"):
             obs.receive_batch(msgs + [msgs[0]])
         # everything before the duplicate was fully processed
-        assert len(obs.causality) == 4
+        assert obs.health.delivered == 4
         assert obs.n_received == 5
 
     def test_strict_corrupt_envelope_raises_after_prefix(self):
@@ -250,7 +255,17 @@ class TestObserverReceiveBatch:
         obs = Observer(ex.n_threads, dict(ex.initial_store))
         with pytest.raises(ValueError, match="checksum"):
             obs.receive_batch(list(ex.messages[:2]) + [bad])
-        assert len(obs.causality) == 2
+        assert obs.health.delivered == 2
+
+    def test_width_mismatch_rejects_whole_chunk(self):
+        ex = make_execution(1)
+        wide = make_execution(1, n_threads=4).messages[0]
+        obs = Observer(ex.n_threads, dict(ex.initial_store), causal_log=True)
+        with pytest.raises(ValueError, match="width"):
+            obs.receive_batch([ex.messages[0], wide])
+        assert obs.n_received == 0 and obs.health.delivered == 0
+        obs.receive_batch([ex.messages[0]])
+        assert obs.causal_log == [ex.messages[0]]
 
     def test_empty_batch_is_noop(self):
         ex = landing_messages()
@@ -266,33 +281,24 @@ class TestObserverReceiveBatch:
             obs.receive_batch(list(ex.messages[:1]))
 
 
-class TestCausalityAddBatch:
-    def test_batch_equals_singles(self):
+class TestCausalityIndexConstruction:
+    def test_lazy_iterable_equals_list(self):
         ex = make_execution(3)
-        a = CausalityIndex(ex.n_threads)
-        for m in ex.messages:
-            a.add(m)
-        b = CausalityIndex(ex.n_threads)
-        assert b.add_batch(ex.messages) == 0
-        assert list(a.messages) == list(b.messages)
+        a = CausalityIndex(ex.n_threads, iter(ex.messages))
+        b = CausalityIndex(ex.n_threads, list(ex.messages))
+        assert list(a.messages) == list(b.messages) == list(ex.messages)
         assert (a.relation_matrix() == b.relation_matrix()).all()
 
-    def test_duplicate_rejected_with_prefix_committed(self):
+    def test_duplicate_rejected(self):
         ex = make_execution(4)
-        idx = CausalityIndex(ex.n_threads)
         batch = list(ex.messages[:3]) + [ex.messages[1]]
         with pytest.raises(ValueError, match="duplicate"):
-            idx.add_batch(batch)
-        assert len(idx) == 3                 # prefix before the dup is in
-        assert ex.messages[2].event.eid in idx
-        idx.add_batch(ex.messages[3:])       # index still usable
-        assert len(idx) == len(ex.messages)
+            CausalityIndex(ex.n_threads, batch)
 
-    def test_in_batch_duplicate_caught(self):
+    def test_adjacent_duplicate_caught(self):
         ex = make_execution(6)
-        idx = CausalityIndex(ex.n_threads)
         with pytest.raises(ValueError, match="duplicate"):
-            idx.add_batch([ex.messages[0], ex.messages[0]])
+            CausalityIndex(ex.n_threads, [ex.messages[0], ex.messages[0]])
 
 
 class TestPredictorFeedBatch:

@@ -1,5 +1,6 @@
 """Causal-order delivery buffer tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.causality import is_linear_extension
+from repro.core.events import Event, EventKind, Message
+from repro.core.vectorclock import VectorClock
 from repro.observer.delivery import CausalDelivery
 from repro.sched import RandomScheduler, run_program
 from repro.workloads import random_program
+
+
+def msg(thread, seq, clock):
+    return Message(
+        event=Event(thread=thread, seq=seq, kind=EventKind.WRITE, var="x",
+                    value=0, relevant=True),
+        thread=thread,
+        clock=VectorClock(clock),
+    )
 
 
 def deliver_scrambled(messages, n_threads, seed):
@@ -31,6 +43,19 @@ class TestBasics:
         d = CausalDelivery(3)
         with pytest.raises(ValueError, match="width"):
             d.offer(xyz_execution.messages[0])
+
+    def test_rejected_batch_changes_nothing(self, xyz_execution):
+        """A width mismatch anywhere in a batch rejects all of it before
+        any message changes state: no release is lost to the caller."""
+        m_ok = xyz_execution.messages[0]
+        m_width3 = msg(1, 1, (0, 1, 0))
+        d = CausalDelivery(2)
+        with pytest.raises(ValueError, match="width"):
+            d.offer_batch([m_ok, m_width3])
+        assert d.delivered_counts == (0, 0)
+        assert d.pending == 0 and d.duplicates_dropped == 0
+        assert not d.arrived(m_ok.delivery_index)
+        assert d.offer_batch([m_ok]) == [m_ok]
 
     def test_duplicate_suppressed_and_counted(self, xyz_execution):
         """Duplication is a normal fault-model event, not a caller bug: the
@@ -104,3 +129,51 @@ class TestProperties:
         for t in (0, 1):
             seqs = [m.event.seq for m in out if m.thread == t]
             assert seqs == sorted(seqs)
+
+
+class TestSlotKeyedState:
+    """Duplicates are keyed on the delivery slot ``(thread, index)``, and
+    nothing is kept per delivered message."""
+
+    def test_other_event_in_delivered_slot_is_duplicate(self, xyz_execution):
+        e1 = xyz_execution.messages[0]
+        impostor = dataclasses.replace(
+            e1, event=dataclasses.replace(e1.event, seq=99))
+        assert impostor.event.eid != e1.event.eid
+        assert impostor.delivery_index == e1.delivery_index
+        d = CausalDelivery(2)
+        assert d.offer(e1) == [e1]
+        assert d.offer(impostor) == []
+        assert d.duplicates_dropped == 1
+        assert d.pending == 0           # dropped, not parked forever
+        assert d.gaps() == []
+
+    def test_other_event_in_held_slot_is_duplicate(self):
+        a2 = msg(0, 2, (2, 0))
+        d = CausalDelivery(2)
+        assert d.offer(a2) == []        # parked on (0, 1)
+        assert d.offer(msg(0, 7, (2, 0))) == []
+        assert d.duplicates_dropped == 1
+        assert d.pending == 1
+
+    def test_arrived_by_slot_state(self):
+        d = CausalDelivery(2)
+        assert d.offer(msg(0, 1, (1, 0))) != []      # (0, 1) delivered
+        assert d.offer(msg(0, 3, (3, 0))) == []      # (0, 3) parked
+        d.declare_lost([(1, 1)])
+        assert d.offer(msg(1, 2, (0, 2))) == []      # (1, 2) quarantined
+        assert d.pending == 1 and len(d.quarantined) == 1
+        assert d.arrived((0, 1))
+        assert d.arrived((0, 3))
+        assert d.arrived((1, 2))
+        assert not d.arrived((0, 2))                 # never seen
+        assert not d.arrived((1, 1))                 # lost, never seen
+        # filling the gap delivers the parked slot; it stays arrived
+        assert [m.delivery_index for m in d.offer(msg(0, 2, (2, 0)))] == \
+            [(0, 2), (0, 3)]
+        assert d.arrived((0, 3)) and d.pending == 0
+        assert d._held == {(1, 2)}      # delivered slots are not kept
+        assert d.offer(msg(0, 9, (3, 0))) == []      # delivered slot: dup
+        assert d.offer(msg(1, 5, (0, 2))) == []      # quarantined slot: dup
+        assert d.duplicates_dropped == 2
+        assert len(d.quarantined) == 1

@@ -287,7 +287,7 @@ def test_fault_injection_soak(seed):
     )
     channel = FaultyChannel(plan)
     obs = Observer(n_threads, dict(ex.initial_store), spec=SOAK_SPEC,
-                   fault_tolerant=True)
+                   fault_tolerant=True, causal_log=True)
     pump(channel, obs, ex.messages)          # (a) never hangs or raises
     obs.finish(expected_totals=totals)
     h = obs.health

@@ -1,10 +1,15 @@
 """Tests for the online observer: reordering tolerance (E7) and the socket
 transport (the two-process deployment of Fig. 4)."""
 
+import dataclasses
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 
+from repro.core.causality import CausalityIndex
 from repro.observer import (
     FifoChannel,
     MultiChannel,
@@ -13,20 +18,28 @@ from repro.observer import (
     SocketTransport,
     deliver_all,
 )
-from repro.workloads import LANDING_VARS, XYZ_PROPERTY, XYZ_VARS
+from repro.sched import RandomScheduler, run_program
+from repro.workloads import (
+    LANDING_VARS,
+    XYZ_PROPERTY,
+    XYZ_VARS,
+    random_program,
+)
 
 
-def make_observer(execution, variables, spec=None):
+def make_observer(execution, variables, spec=None, causal_log=False):
     initial = {v: execution.initial_store[v] for v in variables}
-    return Observer(execution.n_threads, initial, spec=spec)
+    return Observer(execution.n_threads, initial, spec=spec,
+                    causal_log=causal_log)
 
 
 class TestIngestion:
     def test_receive_builds_causality(self, xyz_execution):
-        obs = make_observer(xyz_execution, XYZ_VARS)
+        obs = make_observer(xyz_execution, XYZ_VARS, causal_log=True)
         obs.receive_batch(xyz_execution.messages)
         assert obs.n_received == 4
-        assert obs.causality.count_concurrent_pairs() == 2
+        assert CausalityIndex(2, obs.causal_log).count_concurrent_pairs() \
+            == 2
 
     def test_receive_after_finish_rejected(self, xyz_execution):
         obs = make_observer(xyz_execution, XYZ_VARS)
@@ -57,19 +70,21 @@ class TestReorderingInvariance:
     """E7: verdicts and causality are invariant under delivery order."""
 
     def test_fifo_order_is_linear_extension(self, xyz_execution):
-        obs = make_observer(xyz_execution, XYZ_VARS)
+        obs = make_observer(xyz_execution, XYZ_VARS, causal_log=True)
         obs.receive_batch(xyz_execution.messages)
-        assert obs.observed_order_consistent()
+        assert obs.causal_log == list(xyz_execution.messages)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reordered_delivery_same_verdict(self, xyz_execution, seed):
         channel = ReorderingChannel(seed=seed, window=3)
         delivery = deliver_all(channel, xyz_execution.messages)
-        obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
+        obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY,
+                            causal_log=True)
         obs.receive_batch(delivery)
         obs.finish()
         assert len(obs.violations) == 1
-        assert obs.causality.count_concurrent_pairs() == 2
+        assert CausalityIndex(2, obs.causal_log).count_concurrent_pairs() \
+            == 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_multichannel_delivery_same_verdict(self, landing_execution, seed):
@@ -206,3 +221,49 @@ class TestSocketRobustness:
         transport.start_receiver()
         self._send_raw(transport, ["", xyz_execution.messages[0].to_json(), ""])
         assert len(transport.wait(timeout=10)) == 1
+
+
+class TestBoundedState:
+    """Without ``causal_log`` and without engines, the observer keeps no
+    reference to a message once it is delivered: its state is bounded by
+    what is still undecided, not by the length of the stream."""
+
+    @staticmethod
+    def fresh_stream(messages, refs, duplicates):
+        # fresh copies the test does not keep; windows of 4 are shuffled so
+        # messages park behind gaps and are released later
+        order = list(range(len(messages)))
+        rng = random.Random(5)
+        for i in range(0, len(order), 4):
+            window = order[i:i + 4]
+            rng.shuffle(window)
+            order[i:i + 4] = window
+        for n, i in enumerate(order):
+            copies = 2 if duplicates and n % 5 == 0 else 1
+            for _ in range(copies):
+                m = dataclasses.replace(messages[i])
+                refs.append(weakref.ref(m))
+                yield m
+
+    @pytest.mark.parametrize("fault_tolerant", [False, True],
+                             ids=["strict", "tolerant"])
+    def test_delivered_messages_are_freed(self, fault_tolerant):
+        program = random_program(random.Random(2), n_threads=3, n_vars=3,
+                                 ops_per_thread=30, write_ratio=0.7)
+        ex = run_program(program, RandomScheduler(2))
+        refs = []
+        obs = Observer(ex.n_threads, dict(ex.initial_store),
+                       fault_tolerant=fault_tolerant)
+        stream = self.fresh_stream(ex.messages, refs,
+                                   duplicates=fault_tolerant)
+        while chunk := list(itertools.islice(stream, 8)):
+            obs.receive_batch(chunk)
+        del chunk
+        health = obs.health
+        assert health.delivered == len(ex.messages)
+        assert health.pending == 0
+        assert health.duplicates_dropped == len(refs) - len(ex.messages)
+        assert (health.duplicates_dropped > 0) == fault_tolerant
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert alive == []
