@@ -248,9 +248,7 @@ class LevelByLevelBuilder:
         self._advance()
         # The build is complete only if expansion stopped at a top cut that
         # consumed every buffered message; a gap in some thread's chain
-        # makes expansion stall early instead.  (The check is phrased
-        # relative to the frontier so it also holds for builders restored
-        # from a checkpoint, whose consumed prefix is no longer buffered.)
+        # makes expansion stall early instead.
         reached_top = any(
             not self._chains.has_beyond(cut) for cut in self._frontier
         )
@@ -282,85 +280,6 @@ class LevelByLevelBuilder:
         if self._project is None:
             return state
         return {k: v for k, v in state.items() if k in self._project}
-
-    # -- checkpointing ---------------------------------------------------------------
-
-    def checkpoint(self) -> dict:
-        """Snapshot the analysis state for later :meth:`restore`.
-
-        Long-running monitors can persist this periodically; a restored
-        builder continues from the same frontier and accepts the not-yet-
-        consumed suffix of the stream.  Only available with
-        ``track_paths=False`` (path cons-cells are unbounded history and
-        defeat the point of a compact checkpoint).
-        """
-        if self._track:
-            raise RuntimeError(
-                "checkpoint requires track_paths=False (path history is "
-                "unbounded); construct the builder accordingly"
-            )
-        if self._closed:
-            raise RuntimeError("cannot checkpoint a finished builder")
-        pending = [
-            m for m in self._chains.all_messages()
-            # messages at indices beyond every frontier cut are unconsumed;
-            # a message is consumed once every frontier cut includes it
-            if any(m.clock[m.thread] > cut[m.thread] for cut in self._frontier)
-        ]
-        return {
-            "n_threads": self._n,
-            "level": self._level,
-            "known_totals": list(self._known_totals),
-            "frontier": [
-                (cut, dict(node.state), list(node.mstates))
-                for cut, node in self._frontier.items()
-            ],
-            "pending": list(pending),
-            "violation_count": len(self.violations),
-        }
-
-    @classmethod
-    def restore(
-        cls,
-        snapshot: dict,
-        monitor: Optional[Monitor] = None,
-        max_frontier: int = 1_000_000,
-    ) -> "LevelByLevelBuilder":
-        """Rebuild a builder from a :meth:`checkpoint` snapshot.
-
-        The monitor must be the same specification the snapshot was taken
-        with (monitor states are positional)."""
-        b = cls.__new__(cls)
-        b._n = snapshot["n_threads"]
-        b._chains = MessageChains(b._n)
-        b._monitor = monitor
-        b._track = False
-        b._closed = False
-        b._known_totals = list(snapshot["known_totals"])
-        b._done = False
-        b._project = None
-        b._max_frontier = max_frontier
-        b.stats = BuilderStats()
-        b.violations = []
-        b._initial = {}
-        b._step_cache = {}
-        b._frontier = {}
-        for cut, state, mstates in snapshot["frontier"]:
-            node = _Node(dict(state))
-            for ms in mstates:
-                node.mstates[ms] = None
-            b._frontier[tuple(cut)] = node
-        b._level = snapshot["level"]
-        # chains must know about the already-consumed prefix only via the
-        # frontier cuts; re-insert the pending (unconsumed) messages
-        for m in snapshot["pending"]:
-            b._chains.insert(m)
-        # consumed messages below the frontier are gone — enabled_at() must
-        # therefore never be asked below the minimum frontier cut, which
-        # holds because expansion only looks at cut[i] + 1
-        b._bump_peaks(len(b._frontier), b._count_states(b._frontier))
-        b._advance()
-        return b
 
     # -- internals ------------------------------------------------------------------
 

@@ -14,7 +14,6 @@ from .faults import FaultLog, FaultPlan, FaultyChannel
 from .observer import Observer, ObserverHealth
 from .reliable import (
     FrameDecoder,
-    LossyWire,
     ReliableReceiver,
     ReliableSender,
     ReliableTransportError,
@@ -37,7 +36,6 @@ __all__ = [
     "Observer",
     "ObserverHealth",
     "FrameDecoder",
-    "LossyWire",
     "ReliableReceiver",
     "ReliableSender",
     "ReliableTransportError",

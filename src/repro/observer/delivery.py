@@ -29,7 +29,8 @@ Fault model (see ``observer.faults``): real channels also *lose*,
   that release nothing) or at :meth:`declare_lost`, which *quarantines
   the causal cone* of the lost slot: every buffered or future message
   whose clock shows the lost message in its causal past can never be
-  delivered soundly and is diverted to :attr:`quarantined`.
+  delivered soundly; it is dropped and counted in :attr:`quarantined`,
+  and its slot stays held, so a second copy is still a duplicate.
   Messages concurrent with the loss keep flowing — graceful degradation
   instead of a permanent stall.
 
@@ -39,8 +40,9 @@ rescanning the whole buffer (the buffer can hold thousands of messages
 behind one gap under heavy loss).
 
 State is bounded by what is still undecided: per-thread delivered counts,
-the held-back messages and their slots, and the lost slots with their
-quarantined cones.  Nothing is kept per delivered message.
+the held-back messages and their slots, and the lost slots with the slots
+of their quarantined cones.  Nothing is kept per delivered or quarantined
+message.
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ class CausalDelivery:
         self._held: set[tuple[int, int]] = set()
         #: ``(thread, index)`` slots declared lost (never deliverable).
         self._lost: set[tuple[int, int]] = set()
-        #: Messages causally after a lost slot — undeliverable, diverted.
-        self.quarantined: list[Message] = []
+        #: Messages causally after a lost slot — undeliverable, dropped and
+        #: counted here (their slots stay in ``_held``).
+        self.quarantined = 0
         #: Duplicate offers suppressed (transport-level fault, not an error).
         self.duplicates_dropped = 0
         #: Messages that arrived *after* their slot was declared lost.
@@ -222,7 +225,6 @@ class CausalDelivery:
             stalled = True
             if self._lost and self._in_lost_cone(msg):
                 held.add(slot)
-                self.quarantined.append(msg)
                 quar += 1
                 if slot in self._lost:
                     self.late_arrivals += 1
@@ -246,6 +248,7 @@ class CausalDelivery:
                 if self._stalled_for >= threshold:
                     self.declare_lost(self.gaps())
                     self._stalled_for = 0
+        self.quarantined += quar
         if _metrics.ENABLED:
             _C_OFFERED.inc(len(msgs))
             _H_BATCH.observe(len(msgs))
@@ -294,9 +297,10 @@ class CausalDelivery:
         j, k = slot
         return k <= self._delivered[j] or slot in self._held
 
-    def declare_lost(self, slots: Iterable[tuple[int, int]]) -> list[Message]:
+    def declare_lost(self, slots: Iterable[tuple[int, int]]) -> None:
         """Declare ``(thread, index)`` slots lost and quarantine their causal
-        cones.  Returns the messages newly quarantined.
+        cones: parked messages in a cone are dropped and counted in
+        :attr:`quarantined`.
 
         A loss never *satisfies* a dependency, so no buffered message can
         become deliverable here; survivors concurrent with every lost slot
@@ -312,22 +316,20 @@ class CausalDelivery:
         if _metrics.ENABLED:
             _C_LOSSES.inc(len(newly))
         if not newly:
-            return []
-        evicted: list[Message] = []
+            return
+        evicted = 0
         for key in list(self._waiting):
             bucket = self._waiting[key]
-            keep = []
-            for m in bucket:
-                (evicted if self._in_lost_cone(m) else keep).append(m)
+            keep = [m for m in bucket if not self._in_lost_cone(m)]
+            evicted += len(bucket) - len(keep)
             if keep:
                 self._waiting[key] = keep
             else:
                 del self._waiting[key]
-        self.quarantined.extend(evicted)
+        self.quarantined += evicted
         if _metrics.ENABLED:
-            _C_QUARANTINED.inc(len(evicted))
+            _C_QUARANTINED.inc(evicted)
             _G_PENDING.set(self.pending)
-        return evicted
 
     def missing_for(self, msg: Message) -> Optional[list[tuple[int, int]]]:
         """Diagnostic: which (thread, index) messages block ``msg``?

@@ -437,7 +437,7 @@ class Observer:
             duplicates_dropped=d.duplicates_dropped,
             corrupted=self._corrupted,
             losses=d.losses,
-            quarantined=len(d.quarantined),
+            quarantined=d.quarantined,
             pending=d.pending,
             late_arrivals=d.late_arrivals,
             degraded_windows=self._degraded_windows,

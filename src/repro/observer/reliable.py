@@ -1,24 +1,31 @@
-"""Reliable transport: ack-based retransmission over a lossy wire.
+"""Reliable transport: sequenced, acked, CRC-checked frames over TCP.
 
-``SocketTransport`` (the paper's deployment shape) assumes TCP's perfect
-in-order byte stream.  When the wire itself is imperfect — frames dropped,
-duplicated or corrupted above the socket layer, as :class:`LossyWire`
-simulates and as UDP-style or multi-hop deployments really behave — the
-two-process pipeline needs its own reliability layer.  This module
-provides one:
+``SocketTransport`` (the paper's deployment shape) streams bare messages
+and trusts the socket.  This module adds what the two-process pipeline and
+the analysis server (:mod:`repro.server`) need on top of it:
 
 * every payload rides a sequence-numbered, CRC-checked frame;
-* the receiver acks each frame it accepts; duplicates are re-acked and
-  dropped; corrupt frames are *not* acked, so the sender retries;
-* the sender retransmits unacked frames after a per-send timeout with
-  exponential backoff and (seeded) jitter, up to a bounded retry budget;
-* the in-flight window is bounded: :meth:`ReliableSender.send` blocks
-  (backpressure) when too many frames are unacked, so a slow or dead
-  receiver cannot make the sender buffer grow without bound;
+* the receiver acks each frame it accepts; duplicates (frames a resumed
+  connection replays) are re-acked and dropped;
+* acks are watermarks: TCP and the decoder are both in order, so an ack
+  for ``seq`` means every frame up to ``seq`` has arrived, and the
+  in-flight window is the count ``next_seq - acked``;
+* the window is bounded: :meth:`ReliableSender.send` blocks (backpressure)
+  when it is full, so a slow receiver bounds the sender's buffer, and a
+  receiver that stops acking for :data:`SEND_WAIT_TIMEOUT` seconds fails
+  the sender;
 * heartbeats flow while the sender is idle, letting the receiver
   distinguish "quiet" from "crashed";
 * the stream ends with a ``fin`` frame carrying the total count, which
   the receiver uses to verify zero loss end-to-end.
+
+There is no retransmission timer: a live TCP connection never loses a
+frame, so a frame can only go missing with its connection.  A frame that
+fails its CRC or skips ahead of the next expected ``seq`` therefore
+breaks the connection (:class:`FrameDecoder` raises), and an EOF before
+the ``finack`` fails the sender.  Recovering from a lost connection is
+the caller's job: the analysis server's client keeps a resume buffer and
+replays it on a new connection (:mod:`repro.server.client`).
 
 Wire format: newline-delimited JSON frames over TCP ::
 
@@ -28,34 +35,32 @@ Wire format: newline-delimited JSON frames over TCP ::
     {"t": "fin", "count": 17}
     {"t": "finack"}
 
-Delivery to the application is in send order (frames are reassembled by
-``seq``), exactly once, or :class:`ReliableTransportError` is raised at
-the sender once the retry budget is exhausted — loss is never silent.
+Delivery to the application is in send order, exactly once, or a
+:class:`ReliableTransportError` is raised — loss is never silent.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import socket
 import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..core.events import Message
 from ..obs import metrics as _metrics
 
 __all__ = ["RetransmitConfig", "ReliableSender", "ReliableReceiver",
-           "FrameDecoder", "LossyWire", "ReliableTransportError"]
+           "FrameDecoder", "ReliableTransportError", "SEND_WAIT_TIMEOUT"]
 
 _C_FRAMES = _metrics.REGISTRY.counter(
     "reliable.frames_sent", unit="frames",
     help="data frames first-sent by the reliable sender")
 _C_RETRANS = _metrics.REGISTRY.counter(
     "reliable.retransmissions", unit="frames",
-    help="frames retransmitted after an ack timeout")
+    help="frames re-sent by a resume on a new connection")
 _C_HEARTBEATS = _metrics.REGISTRY.counter(
     "reliable.heartbeats", unit="frames",
     help="idle heartbeats sent")
@@ -75,10 +80,18 @@ _C_RECV_CORRUPT = _metrics.REGISTRY.counter(
     "reliable.recv_corrupt_frames", unit="frames",
     help="frames the receiver rejected (bad JSON, shape or CRC)")
 
+#: Longest :meth:`ReliableSender.send` waits for window space before it
+#: declares the receiver stuck.  It must cover the analysis server's
+#: ``overload_timeout`` (2 s by default): a server whose session queue
+#: stays full answers with an ``err`` frame after that long, and the
+#: client should fail with that reason, not with its own.
+SEND_WAIT_TIMEOUT = 60.0
+
 
 class ReliableTransportError(RuntimeError):
-    """Raised when the reliability contract cannot be met (retry budget
-    exhausted, receiver gone, or stream closed incomplete)."""
+    """Raised when the reliability contract cannot be met (receiver gone
+    or stuck, a corrupt or out-of-order frame, or a stream closed
+    incomplete)."""
 
 
 def _frame(obj: dict) -> bytes:
@@ -87,106 +100,52 @@ def _frame(obj: dict) -> bytes:
 
 @dataclass(frozen=True)
 class RetransmitConfig:
-    """Retransmission and flow-control knobs for :class:`ReliableSender`.
-
-    One frozen value object holds everything that shapes the sender's
-    recovery behavior, so deployments can pass a single tuned config
-    around (and tests can assert against it) instead of seven loose
-    keyword arguments.
+    """Flow-control knobs for :class:`ReliableSender`.
 
     Attributes:
-        timeout: initial per-send ack timeout, seconds.  Each retry
-            multiplies it by ``backoff``.
-        max_retries: retransmissions per frame before the sender declares
-            the contract broken (:class:`ReliableTransportError`).
-        backoff: exponential backoff multiplier (>= 1).
-        jitter: fraction of each backoff randomized, decorrelating retry
-            storms across senders; drawn from the seeded RNG.
         window: maximum unacked frames in flight.  When full,
             :meth:`ReliableSender.send` *blocks* — backpressure, so a slow
-            or dead receiver bounds the sender's buffer instead of
-            growing it.
+            receiver bounds the sender's buffer instead of growing it.
         heartbeat_interval: idle period (seconds) after which a heartbeat
             frame is sent; ``None`` disables heartbeats.
-        seed: RNG seed for the jitter (reproducible retry schedules).
     """
 
-    timeout: float = 0.05
-    max_retries: int = 10
-    backoff: float = 2.0
-    jitter: float = 0.1
     window: int = 64
     heartbeat_interval: Optional[float] = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if not 0.0 <= self.jitter:
-            raise ValueError("jitter must be >= 0")
         if (self.heartbeat_interval is not None
                 and self.heartbeat_interval <= 0):
             raise ValueError("heartbeat_interval must be positive or None")
 
 
-class LossyWire:
-    """Deterministic frame-level fault injector for a send function.
-
-    Sits between a sender and its socket: each outgoing frame is dropped
-    or duplicated according to a seeded RNG.  The transport on top must
-    recover — this is the wire the acceptance demo runs over.
-    """
-
-    def __init__(self, send_fn: Callable[[bytes], None],
-                 drop: float = 0.0, dup: float = 0.0, seed: int = 0):
-        if not 0.0 <= drop <= 1.0 or not 0.0 <= dup <= 1.0:
-            raise ValueError("rates must be within [0, 1]")
-        if drop + dup > 1.0:
-            raise ValueError("drop + dup must be at most 1")
-        self._send = send_fn
-        self._drop = drop
-        self._dup = dup
-        self._rng = random.Random(seed)
-        self.frames_dropped = 0
-        self.frames_duplicated = 0
-
-    def __call__(self, data: bytes) -> None:
-        u = self._rng.random()
-        if u < self._drop:
-            self.frames_dropped += 1
-            return
-        self._send(data)
-        if u < self._drop + self._dup:
-            self.frames_duplicated += 1
-            self._send(data)
-
-
 class FrameDecoder:
     """Receive-side frame state machine for **one** peer connection.
 
-    Owns exactly the transport concerns — CRC check, ack emission,
-    duplicate suppression and in-order reassembly by ``seq`` — and leaves
-    policy to the caller: every reassembled :class:`Message` is handed to
-    ``on_message`` in send order, and control frames the decoder does not
-    consume (``fin``, handshake frames, anything unknown) are *returned*
-    from :meth:`feed_line` so the caller decides how to answer them.
-    This is the piece :class:`ReliableReceiver` (single peer) and the
-    multi-session server (:mod:`repro.server`, one decoder per client
-    connection) share.
+    Owns exactly the transport concerns — CRC check, ack emission and
+    duplicate suppression — and leaves policy to the caller: every
+    :class:`Message` is handed to ``on_message`` in send order, and
+    control frames the decoder does not consume (``fin``, handshake
+    frames, anything unknown) are *returned* from :meth:`feed_line` so the
+    caller decides how to answer them.  This is the piece
+    :class:`ReliableReceiver` (single peer) and the multi-session server
+    (:mod:`repro.server`, one decoder per client connection) share.
+
+    The connection is TCP, so frames arrive intact and in order.  A line
+    that is not a valid frame, fails its CRC, or skips ahead of the next
+    expected ``seq`` means the connection itself is broken:
+    :meth:`feed_line` raises :class:`ReliableTransportError` and the
+    caller drops the connection.
 
     Args:
         send: callable taking raw frame ``bytes`` — used to emit acks back
             to this peer.
-        on_message: called with each :class:`Message` as it becomes
-            deliverable in seq order.  Exceptions propagate to the caller
-            of :meth:`feed_line` (the server uses this to abort a session
-            on overload without acking the frame that overflowed it).
+        on_message: called with each :class:`Message` in seq order.
+            Exceptions propagate to the caller of :meth:`feed_line` (the
+            server uses this to abort a session on overload without acking
+            the frame that overflowed it).
         start_seq: first sequence number this decoder will deliver.  A
             resumed session hands the peer's already-delivered count here,
             so replayed frames below it are re-acked as duplicates instead
@@ -200,7 +159,6 @@ class FrameDecoder:
             raise ValueError("start_seq must be >= 0")
         self._send = send
         self._on_message = on_message
-        self._by_seq: dict[int, str] = {}
         self._next_deliver = start_seq
         self.expected_total: Optional[int] = None
         self.duplicates = 0
@@ -224,7 +182,8 @@ class FrameDecoder:
         """Consume one wire line.  Data/heartbeat frames are fully handled
         here (returns ``None``); any other parsed frame is returned for the
         caller to act on.  A ``fin`` frame records its count before being
-        returned.  Unparseable lines count as corrupt and return ``None``.
+        returned.  Raises :class:`ReliableTransportError` for a corrupt or
+        out-of-order frame.
         """
         line = line.strip()
         if not line:
@@ -232,15 +191,9 @@ class FrameDecoder:
         try:
             d = json.loads(line)
         except ValueError:
-            self.corrupt_frames += 1
-            if _metrics.ENABLED:
-                _C_RECV_CORRUPT.inc()
-            return None
+            d = None
         if not isinstance(d, dict):
-            self.corrupt_frames += 1
-            if _metrics.ENABLED:
-                _C_RECV_CORRUPT.inc()
-            return None
+            raise self._corrupt("not a JSON object")
         kind = d.get("t")
         if kind == "msg":
             self._on_msg_frame(d)
@@ -253,50 +206,50 @@ class FrameDecoder:
             self.expected_total = d.get("count")
         return d
 
+    def _corrupt(self, what: str) -> ReliableTransportError:
+        """Count a corrupt frame; the caller raises the returned error."""
+        self.corrupt_frames += 1
+        if _metrics.ENABLED:
+            _C_RECV_CORRUPT.inc()
+        return ReliableTransportError(f"corrupt frame: {what}")
+
     def _on_msg_frame(self, d: dict) -> None:
         seq, payload = d.get("seq"), d.get("payload")
         if not isinstance(seq, int) or not isinstance(payload, str):
-            self.corrupt_frames += 1
-            if _metrics.ENABLED:
-                _C_RECV_CORRUPT.inc()
-            return
+            raise self._corrupt("msg without an int seq and a str payload")
         if zlib.crc32(payload.encode("utf-8")) != d.get("crc"):
-            self.corrupt_frames += 1
-            if _metrics.ENABLED:
-                _C_RECV_CORRUPT.inc()
-            return  # no ack: the sender will retransmit an intact copy
-        if seq < self._next_deliver or seq in self._by_seq:
+            raise self._corrupt(f"seq {seq} failed its CRC")
+        if seq > self._next_deliver:
+            raise ReliableTransportError(
+                f"frame seq {seq} skips ahead of seq {self._next_deliver}")
+        if seq < self._next_deliver:
             self.duplicates += 1
             if _metrics.ENABLED:
                 _C_RECV_DUPS.inc()
         else:
-            self._by_seq[seq] = payload
-            while self._next_deliver in self._by_seq:
-                text = self._by_seq.pop(self._next_deliver)
-                try:
-                    msg = Message.from_json(text)
-                except Exception as exc:  # noqa: BLE001 - recorded
-                    self.errors.append(f"seq {self._next_deliver}: {exc}")
-                else:
-                    if _metrics.ENABLED:
-                        _C_RECV_MSGS.inc()
-                    if self._on_message is not None:
-                        self._on_message(msg)
-                self._next_deliver += 1
+            try:
+                msg = Message.from_json(payload)
+            except Exception as exc:  # noqa: BLE001 - recorded
+                self.errors.append(f"seq {seq}: {exc}")
+            else:
+                if _metrics.ENABLED:
+                    _C_RECV_MSGS.inc()
+                if self._on_message is not None:
+                    self._on_message(msg)
+            self._next_deliver += 1
         self._send(_frame({"t": "ack", "seq": seq}))
 
 
 class ReliableSender:
-    """The instrumented-program side: send messages, survive a lossy wire.
+    """The instrumented-program side: send messages, learn they arrived.
+
+    ``send`` is single-caller: frames must reach the socket in ``seq``
+    order, as Algorithm A's sink produces them.
 
     Args:
         host/port: the :class:`ReliableReceiver` address.
-        timeout/max_retries/backoff/jitter/window/heartbeat_interval/seed:
-            individual retransmission knobs; see :class:`RetransmitConfig`
-            for their semantics.
-        wire: optional wrapper around the raw frame-send function — e.g.
-            a :class:`LossyWire` — applied to data frames *and* heartbeats
-            (acks travel the reverse direction and are not wrapped here).
+        window/heartbeat_interval: individual flow-control knobs; see
+            :class:`RetransmitConfig` for their semantics.
         config: a complete :class:`RetransmitConfig`; when given it takes
             precedence over the individual keyword knobs.  The effective
             configuration is always readable back as :attr:`config`.
@@ -304,9 +257,9 @@ class ReliableSender:
             ``host:port`` — the multi-session client performs its
             handshake synchronously and then hands the socket over.
         on_frame: callback for reverse-direction frames the sender does
-            not consume itself (acks, finacks and heartbeats are handled
-            internally; an ``err`` frame fails the transport with the
-            peer's reason).  The server uses this channel to push the
+            not consume itself (acks and finacks are handled internally;
+            an ``err`` frame fails the transport with the peer's reason).
+            The server uses this channel to push ``ckpt`` frames and the
             session's final ``result`` frame back to the client.
         first_seq: sequence number of the first frame this sender emits.
             A resuming client sets it to the server's delivered count so
@@ -318,15 +271,8 @@ class ReliableSender:
         self,
         host: Optional[str] = None,
         port: Optional[int] = None,
-        timeout: float = 0.05,
-        max_retries: int = 10,
-        backoff: float = 2.0,
-        jitter: float = 0.1,
         window: int = 64,
         heartbeat_interval: Optional[float] = 0.5,
-        seed: int = 0,
-        wire: Optional[Callable[[Callable[[bytes], None]],
-                                Callable[[bytes], None]]] = None,
         config: Optional[RetransmitConfig] = None,
         sock: Optional[socket.socket] = None,
         on_frame: Optional[Callable[[dict], None]] = None,
@@ -335,12 +281,9 @@ class ReliableSender:
         if first_seq < 0:
             raise ValueError("first_seq must be >= 0")
         if config is None:
-            config = RetransmitConfig(
-                timeout=timeout, max_retries=max_retries, backoff=backoff,
-                jitter=jitter, window=window,
-                heartbeat_interval=heartbeat_interval, seed=seed,
-            )
-        #: The effective (validated) retransmission configuration.
+            config = RetransmitConfig(window=window,
+                                      heartbeat_interval=heartbeat_interval)
+        #: The effective (validated) flow-control configuration.
         self.config = config
         self._on_frame = on_frame
         if sock is not None:
@@ -350,24 +293,19 @@ class ReliableSender:
         else:
             raise ValueError("need either host+port or a connected sock")
         self._sock_lock = threading.Lock()
-        self._raw_send = self._locked_send
-        self._wire_send = wire(self._raw_send) if wire else self._raw_send
-        self._timeout = config.timeout
-        self._max_retries = config.max_retries
-        self._backoff = config.backoff
-        self._jitter = config.jitter
         self._window = config.window
-        self._hb_interval = config.heartbeat_interval
-        self._rng = random.Random(config.seed)
 
         self._cond = threading.Condition()
-        #: seq -> (frame bytes, retries so far, next retransmit deadline)
-        self._unacked: dict[int, list] = {}
         self._next_seq = first_seq
+        #: ack watermark: every seq below it has reached the receiver
+        self._acked = first_seq
         self._failed: Optional[str] = None
         self._fin_acked = False
         self._closing = False
+        #: set once the sender is finished or failed; stops the heartbeats
+        self._done = threading.Event()
         self._last_activity = time.monotonic()
+        #: frames re-sent by :meth:`resend` (a resume's replay)
         self.retransmissions = 0
         self.heartbeats_sent = 0
 
@@ -379,15 +317,17 @@ class ReliableSender:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _locked_send(self, data: bytes) -> None:
-        with self._sock_lock:
-            self._sock.sendall(data)
-
-    def _deadline(self, retries: int) -> float:
-        base = self._timeout * (self._backoff ** retries)
-        return time.monotonic() + base * (1.0 + self._jitter * self._rng.random())
+    def _fail(self, reason: str, override: bool = False) -> None:
+        """Record the first failure reason (or this one, with ``override``)
+        and stop the heartbeats."""
+        with self._cond:
+            if override or self._failed is None:
+                self._failed = reason
+            self._cond.notify_all()
+        self._done.set()
 
     def _ack_loop(self) -> None:
+        reason = "connection closed before the finack"
         try:
             with self._sock.makefile("r", encoding="utf-8") as f:
                 for line in f:
@@ -399,77 +339,57 @@ class ReliableSender:
                     except ValueError:
                         continue
                     kind = d.get("t") if isinstance(d, dict) else None
-                    with self._cond:
-                        if kind == "ack":
-                            self._unacked.pop(d.get("seq"), None)
+                    if kind == "ack":
+                        seq = d.get("seq")
+                        with self._cond:
+                            if isinstance(seq, int) and seq >= self._acked:
+                                self._acked = seq + 1
+                                self._cond.notify_all()
                             if _metrics.ENABLED:
                                 _C_ACKS.inc()
-                                _G_INFLIGHT.set(len(self._unacked))
-                            self._cond.notify_all()
-                            continue
-                        if kind == "finack":
+                                _G_INFLIGHT.set(self._next_seq - self._acked)
+                    elif kind == "finack":
+                        with self._cond:
                             self._fin_acked = True
                             self._cond.notify_all()
-                            continue
-                        if kind == "err":
-                            # the peer declared the stream dead (overload,
-                            # session failure): fail fast with its reason
-                            self._failed = (
-                                f"peer error: {d.get('reason', 'unknown')}")
-                            self._cond.notify_all()
-                            continue
-                    if self._on_frame is not None:
+                    elif kind == "err":
+                        # the peer declared the stream dead (overload,
+                        # session failure): its reason beats our own
+                        self._fail(f"peer error: {d.get('reason', 'unknown')}",
+                                   override=True)
+                    elif self._on_frame is not None:
                         self._on_frame(d)
-        except OSError:
-            pass
-        with self._cond:
-            self._cond.notify_all()
+        except OSError as exc:
+            reason = f"connection lost: {exc}"
+        if self._fin_acked:
+            self._done.set()
+        else:
+            self._fail(reason)
 
     def _timer_loop(self) -> None:
-        tick = min(self._timeout / 2, 0.02)
-        while True:
-            time.sleep(tick)
-            with self._cond:
-                if self._failed or (self._closing and not self._unacked):
-                    if self._fin_acked or self._failed:
-                        return
-                now = time.monotonic()
-                overdue = [
-                    (seq, entry) for seq, entry in self._unacked.items()
-                    if entry[2] <= now
-                ]
-                for seq, entry in overdue:
-                    if entry[1] >= self._max_retries:
-                        self._failed = (
-                            f"frame seq={seq} unacked after "
-                            f"{self._max_retries} retries"
-                        )
-                        self._cond.notify_all()
-                        return
-                    entry[1] += 1
-                    entry[2] = self._deadline(entry[1])
-                    self.retransmissions += 1
-                    if _metrics.ENABLED:
-                        _C_RETRANS.inc()
-                    frame = entry[0]
-                    self._transmit(frame)
-                if (self._hb_interval is not None and not overdue
-                        and now - self._last_activity > self._hb_interval):
-                    self.heartbeats_sent += 1
-                    if _metrics.ENABLED:
-                        _C_HEARTBEATS.inc()
-                    self._last_activity = now
-                    self._transmit(_frame({"t": "hb"}))
+        """Heartbeats: one ``hb`` frame per idle ``heartbeat_interval``."""
+        interval = self.config.heartbeat_interval
+        if interval is None:
+            return
+        wait = interval
+        while not self._done.wait(wait):
+            idle = time.monotonic() - self._last_activity
+            if idle < interval:
+                wait = interval - idle
+                continue
+            wait = interval
+            self._last_activity = time.monotonic()
+            self.heartbeats_sent += 1
+            if _metrics.ENABLED:
+                _C_HEARTBEATS.inc()
+            self._transmit(_frame({"t": "hb"}))
 
     def _transmit(self, frame: bytes) -> None:
         try:
-            self._wire_send(frame)
+            with self._sock_lock:
+                self._sock.sendall(frame)
         except OSError as exc:
-            # Condition() wraps an RLock, so this is safe from the timer
-            # thread, which already holds it.
-            with self._cond:
-                self._failed = f"socket send failed: {exc}"
-                self._cond.notify_all()
+            self._fail(f"socket send failed: {exc}")
 
     def _raise_if_failed(self) -> None:
         if self._failed:
@@ -478,78 +398,84 @@ class ReliableSender:
     # -- public API -----------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        """Queue one message; blocks while the in-flight window is full."""
+        """Send one message; blocks while the in-flight window is full, and
+        raises :class:`ReliableTransportError` if it stays full for
+        :data:`SEND_WAIT_TIMEOUT` seconds."""
+        payload = msg.to_json()
         with self._cond:
             self._raise_if_failed()
             if self._closing:
                 raise ReliableTransportError("sender already closed")
-            while len(self._unacked) >= self._window and not self._failed:
-                self._cond.wait(timeout=self._timeout)
-            self._raise_if_failed()
+            if self._next_seq - self._acked >= self._window:
+                deadline = time.monotonic() + SEND_WAIT_TIMEOUT
+                while (self._next_seq - self._acked >= self._window
+                       and not self._failed):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        self._fail(f"no ack for frame seq {self._acked} "
+                                   f"within {SEND_WAIT_TIMEOUT}s")
+                        break
+                    self._cond.wait(remaining)
+                self._raise_if_failed()
             seq = self._next_seq
             self._next_seq += 1
-            payload = msg.to_json()
-            frame = _frame({
-                "t": "msg", "seq": seq,
-                "crc": zlib.crc32(payload.encode("utf-8")),
-                "payload": payload,
-            })
-            self._unacked[seq] = [frame, 0, self._deadline(0)]
             self._last_activity = time.monotonic()
             if _metrics.ENABLED:
                 _C_FRAMES.inc()
-                _G_INFLIGHT.set(len(self._unacked))
-        self._transmit(frame)
+                _G_INFLIGHT.set(self._next_seq - self._acked)
+        self._transmit(_frame({
+            "t": "msg", "seq": seq,
+            "crc": zlib.crc32(payload.encode("utf-8")),
+            "payload": payload,
+        }))
         self._raise_if_failed()
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Flush: wait for every frame to be acked, then exchange fin/finack.
+    def resend(self, messages: Iterable[Message]) -> None:
+        """Send messages an earlier connection already carried — a
+        resume's replay; each one counts as a retransmission."""
+        for msg in messages:
+            self.send(msg)
+            self.retransmissions += 1
+            if _metrics.ENABLED:
+                _C_RETRANS.inc()
 
-        Raises :class:`ReliableTransportError` if the contract could not be
-        met — the caller *knows* whether everything arrived.
+    def close(self, timeout: float = 10.0) -> None:
+        """Send the fin, wait up to ``timeout`` for the finack, and close
+        the socket.
+
+        TCP delivers in order, so the finack means the receiver took every
+        frame before the fin.  Raises :class:`ReliableTransportError` if
+        the contract could not be met — the caller *knows* whether
+        everything arrived.  The socket is closed either way.
         """
-        deadline = time.monotonic() + timeout
         with self._cond:
-            self._raise_if_failed()
             self._closing = True
-            while self._unacked and not self._failed:
-                if not self._cond.wait(timeout=deadline - time.monotonic()):
-                    break
-                if time.monotonic() > deadline:
-                    break
-            self._raise_if_failed()
-            if self._unacked:
-                raise ReliableTransportError(
-                    f"{len(self._unacked)} frames still unacked at close"
-                )
             count = self._next_seq
-        fin = _frame({"t": "fin", "count": count})
-        # fin itself rides the lossy wire: retry until finacked.  Once the
-        # finack is in, the exchange has *succeeded* — the peer may close
-        # its end immediately after finacking, so a socket error raced by
-        # a retransmitted fin or a heartbeat must not fail the close.
-        retries = 0
-        while True:
-            self._transmit(fin)
-            with self._cond:
-                self._cond.wait_for(
+        if not self._failed:
+            self._transmit(_frame({"t": "fin", "count": count}))
+        with self._cond:
+            # once the finack is in, the exchange has *succeeded* — the
+            # peer may close its end right after it, and that EOF or a
+            # raced heartbeat's send error must not fail the close
+            if not self._cond.wait_for(
                     lambda: self._fin_acked or self._failed is not None,
-                    timeout=self._timeout * (self._backoff ** retries))
-                if self._fin_acked:
-                    break
-                self._raise_if_failed()
-            retries += 1
-            if retries > self._max_retries:
-                raise ReliableTransportError("fin never acknowledged")
+                    timeout=timeout):
+                self._fail(f"no finack within {timeout}s")
+            acked = self._fin_acked
+        self._done.set()
         with self._sock_lock:
             # The ack-reader's makefile keeps the underlying fd alive past
             # close(); shutdown pushes our FIN out now so the peer's
-            # post-finack drain sees EOF immediately instead of timing out.
+            # post-finack drain sees EOF immediately instead of timing out
+            # (and, after a failure, wakes that reader too).
             try:
-                self._sock.shutdown(socket.SHUT_WR)
+                self._sock.shutdown(socket.SHUT_WR if acked
+                                    else socket.SHUT_RDWR)
             except OSError:
                 pass
             self._sock.close()
+        if not acked:
+            raise ReliableTransportError(self._failed)
 
     def __enter__(self) -> "ReliableSender":
         return self
@@ -558,18 +484,18 @@ class ReliableSender:
         if exc[0] is None:
             self.close()
         else:  # don't mask the original error with flush failures
+            self._done.set()
             with self._sock_lock:
                 self._sock.close()
 
 
 class ReliableReceiver:
-    """The observer side: reassemble an exactly-once, in-order stream.
+    """The observer side: receive an exactly-once, in-order stream.
 
-    Accepts one sender, acks every valid frame, drops duplicates (re-acking
-    them — the ack may have been the lost frame), ignores corrupt frames
-    (no ack → sender retries), and buffers out-of-order arrivals until the
-    gap fills.  ``on_message`` (when given) is called with each
-    :class:`Message` as it becomes deliverable in seq order.
+    Accepts one sender and acks every frame.  A corrupt or out-of-order
+    frame ends the connection, and :meth:`wait` then raises.
+    ``on_message`` (when given) is called with each :class:`Message` in
+    seq order.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -640,7 +566,7 @@ class ReliableReceiver:
                         conn.sendall(_frame({"t": "finack"}))
                         if self._decoder.complete:
                             return
-        except (socket.timeout, OSError) as exc:
+        except (socket.timeout, OSError, ReliableTransportError) as exc:
             self._decoder.errors.append(f"receive loop ended: {exc!r}")
 
     def wait(self, timeout: float = 10.0) -> list[Message]:
@@ -664,12 +590,12 @@ class ReliableReceiver:
                 f"no sender connected to {self.host}:{self.port} within "
                 f"{self._accept_timeout}s"
             )
-        if self._expected_total is not None \
-                and len(self._received) != self._expected_total:
+        if not self._decoder.complete \
+                or len(self._received) != self._expected_total:
             raise ReliableTransportError(
                 f"stream ended with {len(self._received)} of "
-                f"{self._expected_total} messages"
-            )
+                f"{self._expected_total or '?'} messages"
+                + "".join(f"; {e}" for e in self.errors))
         return list(self._received)
 
     def close(self) -> None:

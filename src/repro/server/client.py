@@ -3,18 +3,19 @@
 The instrumented program (or the ``repro attach`` CLI) uses this module to
 open a session: a synchronous one-line handshake, then the stock
 :class:`~repro.observer.reliable.ReliableSender` owns the socket and
-streams messages with acks, retransmission and backpressure exactly as in
-the two-process pipeline.  Closing the session completes the fin/finack
-handshake and returns the server's verdicts.
+streams messages with acks and backpressure exactly as in the two-process
+pipeline.  Closing the session completes the fin/finack handshake and
+returns the server's verdicts.
 
 With a :class:`ReconnectPolicy` the session also survives the *connection*
-dying: every sent message is buffered until the server checkpoints it
-(``ckpt`` frames prune the buffer), and a transport failure triggers a
-transparent resume — reconnect with capped exponential backoff, present
-the resume token, and idempotently resend everything past the server's
-delivered count.  The server re-acks replayed duplicates, so the stream
-the analysis sees is exactly-once regardless of how many times the wire
-dropped.
+dying.  This resume buffer is the only resend on the served path: TCP
+loses no frame on a live connection.  Every sent message is buffered until
+the server checkpoints it (``ckpt`` frames prune the buffer), and a
+transport failure triggers a transparent resume — reconnect with capped
+exponential backoff, present the resume token, and idempotently resend
+everything past the server's delivered count.  The server re-acks
+replayed duplicates, so the stream the analysis sees is exactly-once
+regardless of how many times the connection dropped.
 
 Usage::
 
@@ -266,14 +267,14 @@ class AttachedSession:
             sender = ReliableSender(sock=sock, config=self._config,
                                     on_frame=self._on_frame,
                                     first_seq=delivered)
+            sender.retransmissions = self._sender.retransmissions
             self.epoch = epoch
             with self._lock:
                 while self._buffer and self._buffer[0][0] < delivered:
                     self._buffer.popleft()
                 replay = list(self._buffer)
             try:
-                for _seq, msg in replay:
-                    sender.send(msg)
+                sender.resend(msg for _seq, msg in replay)
             except (ReliableTransportError, OSError):
                 self._poison(sender)
                 continue

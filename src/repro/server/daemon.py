@@ -9,7 +9,8 @@ two-process pipeline.  The moving parts:
 
 * an **accept loop** hands each connection to a dedicated reader thread —
   ingestion (frame decode, CRC, dedup, acks) stays on the connection's own
-  thread and never blocks another session;
+  thread and never blocks another session; a corrupt or out-of-order
+  frame is handled like a dropped connection;
 * a bounded **worker pool** runs the lattice/predictive analysis off the
   ingestion hot path; a session is serviced by at most one worker at a
   time, so per-session event order is preserved without per-event locks;
@@ -48,7 +49,7 @@ from typing import Callable, Optional
 
 from .. import __version__ as _repro_version
 from ..obs import metrics as _metrics
-from ..observer.reliable import FrameDecoder, _frame
+from ..observer.reliable import FrameDecoder, ReliableTransportError, _frame
 from ..observer.trace import TraceFormatError
 from ..store.format import read_trace_prefix
 from .protocol import Hello, ProtocolError, encode_frame
@@ -539,6 +540,8 @@ class AnalysisServer:
                     self._stream(conn, reader, session)
         except (OSError, ValueError) as exc:
             reason = f"connection lost: {exc!r}"
+        except ReliableTransportError as exc:
+            reason = f"connection dropped on a bad frame: {exc}"
         finally:
             if session is not None:
                 self._end_connection(session, epoch, reason)
@@ -767,7 +770,10 @@ class AnalysisServer:
         (:meth:`Session.send_bytes`) because checkpoint and error frames
         from supervisor threads share the socket with our acks.
         ``start_seq`` is nonzero on a resumed connection: the decoder then
-        re-acks the already-delivered prefix as duplicates.
+        re-acks the already-delivered prefix as duplicates.  A frame the
+        decoder rejects (bad CRC, a skipped ``seq``) ends the connection
+        with an ``err`` frame; the caller then parks a resumable session
+        for the client's resume to replay, and fails any other.
         """
         meter = getattr(session, "meter", None)
         resumable = self.config.resume_timeout > 0 and not session.supervised
@@ -804,10 +810,13 @@ class AnalysisServer:
                     if result_frame is not None:
                         session.send_bytes(result_frame)
                         session.send_bytes(_frame({"t": "finack"}))
-                        self._drain_to_eof(conn, reader, session)
+                        self._drain_to_eof(conn, reader)
                     return
                 # any other control frame mid-stream is ignored: the
                 # reliable sender only emits msg/hb/fin after the handshake
+        except ReliableTransportError as exc:
+            session.send_frame({"t": "err", "reason": str(exc)})
+            raise
         except _Overload as exc:
             if _metrics.ENABLED:
                 _metrics.REGISTRY.counter(
@@ -823,25 +832,20 @@ class AnalysisServer:
                 pass
 
     @staticmethod
-    def _drain_to_eof(conn: socket.socket, reader, session: Session) -> None:
+    def _drain_to_eof(conn: socket.socket, reader) -> None:
         """Read the connection dry after finack, until the client closes it.
 
-        Closing while unread fin retransmits sit in the receive buffer
-        makes the kernel answer with RST, which flushes the peer's receive
-        queue — the finack can be discarded before the client ever reads
-        it.  Consuming to EOF (re-acking any late fin, in case the finack
-        itself was lost) guarantees the client observed the handshake
-        complete before the socket goes away.
+        The client sends one fin, but heartbeats may still follow it.
+        Closing while unread bytes sit in the receive buffer makes the
+        kernel answer with RST, which flushes the peer's receive queue —
+        the result and finack can be discarded before the client ever
+        reads them.  Consuming to EOF guarantees the client observed the
+        handshake complete before the socket goes away.
         """
         try:
             conn.settimeout(5.0)
-            for line in reader:
-                try:
-                    frame = json.loads(line)
-                except ValueError:
-                    continue
-                if frame.get("t") == "fin":
-                    session.send_frame({"t": "finack"})
+            for _line in reader:
+                pass
         except (OSError, ValueError):
             pass
 

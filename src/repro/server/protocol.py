@@ -3,7 +3,9 @@
 Everything rides the reliable transport's newline-delimited JSON framing
 (:mod:`repro.observer.reliable`): data frames (``msg``/``ack``/``hb``/
 ``fin``/``finack``) are unchanged, and this module adds the *session*
-frames exchanged around them:
+frames exchanged around them.  The server acks every accepted ``msg``
+frame; since TCP and the frame decoder are both in order, an ack for
+``seq`` is a watermark — every frame up to ``seq`` has arrived:
 
 ============  =========  ====================================================
 frame         direction  meaning
@@ -56,10 +58,11 @@ Resume semantics: the session *epoch* counts connections (1 on first
 attach, +1 per successful resume), so a stale reader thread or a stale
 client can always be told apart from the current one; the *token* is a
 random capability string minted at admission — presenting it is what
-authorizes a reconnecting client to reclaim the session.  Replayed
-``msg`` frames below the server's ``delivered`` count are re-acked as
-duplicates by the frame decoder, which makes resending the whole unacked
-window idempotent.
+authorizes a reconnecting client to reclaim the session.  The resume is
+the only resend: the client replays its buffer from the server's
+``delivered`` count, and replayed ``msg`` frames below that count are
+re-acked as duplicates by the frame decoder, which makes the replay
+idempotent.
 """
 
 from __future__ import annotations

@@ -164,7 +164,7 @@ class Session:
         """Write raw bytes to the currently attached connection under the
         per-session io lock (acks, ckpt and err frames come from different
         threads).  Detached or dead connections are a silent no-op — the
-        reliable transport's retransmit/resume machinery recovers."""
+        client's resume replays whatever the lost connection dropped."""
         with self._io_lock:
             conn = self.conn
             if conn is None:

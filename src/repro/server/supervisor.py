@@ -381,11 +381,13 @@ class SupervisedSession(Session):
                 self.archive_id = entry.id
             except Exception:  # noqa: BLE001 - archive loss ≠ analysis loss
                 self.archive_id = None
+        # delete before `done` is published: whoever sees the session
+        # finished may rely on its journal being gone
+        self.journal.delete()
         with self._cond:
             if not self._state.terminal:
                 self._retained.clear()
                 self._enter_terminal(SessionState.FINISHED)
-        self.journal.delete()
         self._kill(proc)
 
     def restore_progress(self, durable: int) -> None:

@@ -1,6 +1,6 @@
 """Tests for the online level-by-level builder: equivalence with the full
-lattice, out-of-order feeding, end-of-thread markers, GC accounting, and
-monitor-state semantics."""
+lattice, out-of-order feeding, end-of-thread markers, GC accounting,
+monitor-state semantics, and state projection."""
 
 import random
 
@@ -212,3 +212,34 @@ class TestMemoryBound:
         with pytest.raises(MemoryError):
             b.feed_many(xyz_execution.messages)
             b.finish()
+
+
+class TestProjection:
+    def test_states_restricted_to_monitor_vars(self, xyz_execution):
+        """With a monitor for x only, node states do not carry y/z."""
+        initial = dict(xyz_execution.initial_store)
+        b = LevelByLevelBuilder(2, initial, Monitor("x >= -1"),
+                                track_paths=False)
+        b.feed_many(xyz_execution.messages)
+        b.finish()
+        for state in b.frontier.values():
+            assert set(state) <= {"x"}
+
+    def test_projection_override(self, xyz_execution):
+        initial = dict(xyz_execution.initial_store)
+        b = LevelByLevelBuilder(2, initial, project={"y"})
+        b.feed_many(xyz_execution.messages)
+        b.finish()
+        for state in b.frontier.values():
+            assert set(state) <= {"y"}
+
+    def test_projection_does_not_change_verdicts(self, xyz_execution):
+        initial = dict(xyz_execution.initial_store)
+        wide = LevelByLevelBuilder(2, initial, Monitor(XYZ_PROPERTY),
+                                   project=initial.keys())
+        wide.feed_many(xyz_execution.messages)
+        wide.finish()
+        narrow = LevelByLevelBuilder(2, initial, Monitor(XYZ_PROPERTY))
+        narrow.feed_many(xyz_execution.messages)
+        narrow.finish()
+        assert len(wide.violations) == len(narrow.violations) == 1

@@ -120,7 +120,8 @@ class TestDeliveryOfferBatch:
         batched = b.offer_batch(rest + [victim])
         assert [m.event.eid for m in singles] == [m.event.eid for m in batched]
         assert a.late_arrivals == b.late_arrivals == 1
-        assert len(a.quarantined) == len(b.quarantined)
+        assert a.quarantined == b.quarantined
+        assert a._held == b._held
 
 
 class TestObserverReceiveBatch:
@@ -230,7 +231,8 @@ class TestObserverReceiveBatch:
             outcomes.append((
                 obs.health,
                 [m.event.eid for m in obs.causal_log],
-                [m.event.eid for m in obs._delivery.quarantined],
+                obs._delivery.quarantined,
+                sorted(obs._delivery._held),
                 len(found),
                 [v.to_json() for v in obs.engine_verdicts()],
             ))

@@ -162,7 +162,7 @@ class TestSlotKeyedState:
         assert d.offer(msg(0, 3, (3, 0))) == []      # (0, 3) parked
         d.declare_lost([(1, 1)])
         assert d.offer(msg(1, 2, (0, 2))) == []      # (1, 2) quarantined
-        assert d.pending == 1 and len(d.quarantined) == 1
+        assert d.pending == 1 and d.quarantined == 1
         assert d.arrived((0, 1))
         assert d.arrived((0, 3))
         assert d.arrived((1, 2))
@@ -176,4 +176,4 @@ class TestSlotKeyedState:
         assert d.offer(msg(0, 9, (3, 0))) == []      # delivered slot: dup
         assert d.offer(msg(1, 5, (0, 2))) == []      # quarantined slot: dup
         assert d.duplicates_dropped == 2
-        assert len(d.quarantined) == 1
+        assert d.quarantined == 1

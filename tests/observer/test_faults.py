@@ -161,8 +161,9 @@ class TestDeliveryLossAndQuarantine:
         e1, e2, e4, e3 = xyz_execution.messages
         d = CausalDelivery(2)
         assert d.offer(e2) == []            # blocked on e1 (slot (0, 1))
-        evicted = d.declare_lost([(0, 1)])
-        assert [m.event.eid for m in evicted] == [e2.event.eid]
+        d.declare_lost([(0, 1)])
+        assert d.quarantined == 1
+        assert d._held == {e2.delivery_index}   # e2's slot stays held
         assert d.pending == 0
         assert d.losses == ((0, 1),)
 
@@ -176,7 +177,8 @@ class TestDeliveryLossAndQuarantine:
         assert d.offer(e1) == [e1]          # e1 is concurrent with that loss
         assert d.offer(e3) == [e3]          # e3 = thread 0 index 2, also fine
         assert d.offer(e4) == []            # e4 needs e2 -> quarantined
-        assert [m.event.eid for m in d.quarantined] == [e4.event.eid]
+        assert d.quarantined == 1
+        assert d._held == {e4.delivery_index}
 
     def test_late_arrival_of_lost_slot_is_quarantined(self, xyz_execution):
         e1 = xyz_execution.messages[0]

@@ -267,3 +267,26 @@ class TestBoundedState:
         gc.collect()
         alive = [r() for r in refs if r() is not None]
         assert alive == []
+
+    def test_quarantined_messages_are_freed(self):
+        """Losing the first message quarantines most of the stream; the
+        observer counts that cone, it does not keep it."""
+        program = random_program(random.Random(2), n_threads=3, n_vars=3,
+                                 ops_per_thread=30, write_ratio=0.7)
+        ex = run_program(program, RandomScheduler(2))
+        first, rest = ex.messages[0], ex.messages[1:]
+        refs = []
+        obs = Observer(ex.n_threads, dict(ex.initial_store),
+                       fault_tolerant=True, stall_threshold=16)
+        stream = self.fresh_stream(rest, refs, duplicates=False)
+        while chunk := list(itertools.islice(stream, 8)):
+            obs.receive_batch(chunk)
+        del chunk
+        health = obs.health
+        assert health.losses == (first.delivery_index,)
+        assert health.quarantined > len(rest) // 2
+        assert health.pending == 0
+        assert health.delivered + health.quarantined == len(rest)
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert alive == []

@@ -1,13 +1,17 @@
-"""Tests for the ack-based reliable transport over a lossy wire."""
+"""Tests for the ack-based reliable transport over TCP."""
 
+import itertools
+import json
 import random
 import socket
 import threading
+import zlib
 
 import pytest
 
+from repro.observer import reliable
 from repro.observer.reliable import (
-    LossyWire,
+    FrameDecoder,
     ReliableReceiver,
     ReliableSender,
     ReliableTransportError,
@@ -23,41 +27,15 @@ def messages():
     return run_program(program, RandomScheduler(11)).messages
 
 
-def roundtrip(messages, wire=None, **sender_kw):
+def roundtrip(messages, **sender_kw):
     receiver = ReliableReceiver(accept_timeout=10.0)
     receiver.start()
-    sender = ReliableSender("127.0.0.1", receiver.port, wire=wire,
-                            **sender_kw)
+    sender = ReliableSender("127.0.0.1", receiver.port, **sender_kw)
     for m in messages:
         sender.send(m)
     sender.close()
     got = receiver.wait(timeout=10.0)
     return got, sender, receiver
-
-
-class TestLossyWire:
-    def test_rates_validated(self):
-        with pytest.raises(ValueError):
-            LossyWire(lambda b: None, drop=1.5)
-        with pytest.raises(ValueError):
-            LossyWire(lambda b: None, drop=0.6, dup=0.6)
-
-    def test_deterministic_faults(self):
-        for _ in range(2):
-            sent = []
-            wire = LossyWire(sent.append, drop=0.3, dup=0.2, seed=4)
-            for i in range(100):
-                wire(b"%d" % i)
-            counts = (wire.frames_dropped, wire.frames_duplicated, len(sent))
-            assert counts == (
-                wire.frames_dropped, wire.frames_duplicated,
-                100 - wire.frames_dropped + wire.frames_duplicated)
-        # same seed twice gives the same trace
-        sent2 = []
-        wire2 = LossyWire(sent2.append, drop=0.3, dup=0.2, seed=4)
-        for i in range(100):
-            wire2(b"%d" % i)
-        assert sent2 == sent
 
 
 class TestCleanWire:
@@ -79,47 +57,6 @@ class TestCleanWire:
 
 
 class TestLossyDelivery:
-    def test_zero_loss_over_five_percent_drop(self, messages):
-        """The acceptance-criterion wire: 5% of sends vanish, the stream
-        still arrives complete, in order, exactly once."""
-        wires = []
-
-        def make_wire(send_fn):
-            w = LossyWire(send_fn, drop=0.05, seed=1)
-            wires.append(w)
-            return w
-
-        got, sender, receiver = roundtrip(messages, wire=make_wire)
-        assert [m.event.eid for m in got] == [m.event.eid for m in messages]
-        assert wires[0].frames_dropped > 0, "wire never exercised"
-        assert sender.retransmissions >= wires[0].frames_dropped - \
-            wires[0].frames_duplicated - 1
-
-    def test_heavy_drop_and_dup(self, messages):
-        def make_wire(send_fn):
-            return LossyWire(send_fn, drop=0.15, dup=0.10, seed=9)
-
-        got, sender, receiver = roundtrip(messages, wire=make_wire,
-                                          timeout=0.02, max_retries=20)
-        assert [m.event.eid for m in got] == [m.event.eid for m in messages]
-        # duplicated frames must have been suppressed (and re-acked)
-        assert receiver.duplicates >= 0
-        assert len(got) == len(messages)
-
-    def test_retry_budget_exhaustion_raises(self, messages):
-        def blackhole(send_fn):
-            return lambda data: None    # nothing ever reaches the receiver
-
-        receiver = ReliableReceiver(accept_timeout=5.0)
-        receiver.start()
-        sender = ReliableSender("127.0.0.1", receiver.port, wire=blackhole,
-                                timeout=0.01, max_retries=2, window=4,
-                                heartbeat_interval=None)
-        with pytest.raises(ReliableTransportError, match="unacked"):
-            sender.send(messages[0])
-            sender.close(timeout=5.0)
-        receiver.close()
-
     def test_window_backpressure(self, messages):
         """With window=1, a second send blocks until the first is acked —
         the sender buffer stays bounded."""
@@ -144,39 +81,6 @@ class TestLossyDelivery:
         assert receiver.last_heartbeat is not None
         sender.close()
         receiver.wait(timeout=10.0)
-
-    def test_corrupt_frames_not_acked_then_retried(self, messages):
-        """Flip a byte in the first copy of each frame: the receiver must
-        reject it (bad CRC) without acking, and the retransmitted intact
-        copy completes the stream."""
-        class CorruptingWire:
-            def __init__(self, send_fn):
-                self._send = send_fn
-                self._seen = set()
-                self.corrupted = 0
-
-            def __call__(self, data):
-                if data not in self._seen and b'"msg"' in data:
-                    self._seen.add(data)
-                    self.corrupted += 1
-                    # tamper inside the payload, keep valid JSON framing
-                    self._send(data.replace(b'"payload"', b'"paYload"'))
-                    return
-                self._send(data)
-
-        wires = []
-
-        def make_wire(send_fn):
-            w = CorruptingWire(send_fn)
-            wires.append(w)
-            return w
-
-        got, sender, receiver = roundtrip(messages[:5], wire=make_wire,
-                                          timeout=0.02)
-        assert len(got) == 5
-        assert wires[0].corrupted == 5
-        assert receiver.corrupt_frames >= 5
-        assert sender.retransmissions >= 5
 
 
 class TestReceiverErrors:
@@ -207,15 +111,126 @@ class TestReceiverErrors:
         receiver = ReliableReceiver(accept_timeout=10.0,
                                     on_message=seen.append)
         receiver.start()
-
-        def make_wire(send_fn):
-            return LossyWire(send_fn, drop=0.1, seed=6)
-
-        with ReliableSender("127.0.0.1", receiver.port,
-                            wire=make_wire, timeout=0.02) as sender:
+        with ReliableSender("127.0.0.1", receiver.port) as sender:
             for m in messages:
                 sender.send(m)
         got = receiver.wait(timeout=10.0)
         assert seen == got
         assert [m.event.eid for m in seen] == \
             [m.event.eid for m in messages]
+
+
+def _peer(handle):
+    """A bare TCP peer: accepts one connection and runs ``handle`` on it."""
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        conn, _ = server.accept()
+        with conn:
+            handle(conn)
+
+    threading.Thread(target=run, daemon=True).start()
+    return server
+
+
+def _drain(conn):
+    try:
+        while conn.recv(65536):
+            pass
+    except OSError:
+        pass
+
+
+def _send_until_error(sender, messages, budget=10.0):
+    """Stream ``messages`` round and round from a helper thread and re-raise
+    the error that stopped it; fail if it was still sending (or blocked)
+    after ``budget`` seconds."""
+    box = {}
+
+    def run():
+        try:
+            for m in itertools.cycle(messages):
+                sender.send(m)
+        except ReliableTransportError as exc:
+            box["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(budget)
+    assert not t.is_alive(), f"send still running after {budget}s"
+    raise box["error"]
+
+
+def _msg_line(seq, payload, crc=None):
+    if crc is None:
+        crc = zlib.crc32(payload.encode("utf-8"))
+    return json.dumps({"t": "msg", "seq": seq, "crc": crc,
+                       "payload": payload}) + "\n"
+
+
+class TestBrokenConnection:
+    """No retransmission timer: whatever a live TCP connection cannot lose
+    must fail loudly instead."""
+
+    def test_peer_closing_mid_stream_makes_send_raise(self, messages):
+        def half_close(conn):
+            conn.recv(1)                   # the stream has started
+            conn.shutdown(socket.SHUT_WR)  # EOF to the sender, no finack
+            _drain(conn)
+
+        server = _peer(half_close)
+        try:
+            with pytest.raises(ReliableTransportError,
+                               match="closed before the finack"):
+                with ReliableSender("127.0.0.1", server.getsockname()[1],
+                                    window=4,
+                                    heartbeat_interval=None) as sender:
+                    _send_until_error(sender, messages)
+        finally:
+            server.close()
+
+    def test_peer_that_never_acks_makes_send_raise(self, messages,
+                                                   monkeypatch):
+        monkeypatch.setattr(reliable, "SEND_WAIT_TIMEOUT", 0.3)
+        server = _peer(_drain)
+        try:
+            with pytest.raises(ReliableTransportError,
+                               match="no ack for frame seq 0 within 0.3s"):
+                with ReliableSender("127.0.0.1", server.getsockname()[1],
+                                    window=4,
+                                    heartbeat_interval=None) as sender:
+                    _send_until_error(sender, messages, budget=5.0)
+        finally:
+            server.close()
+
+    def test_receiver_rejects_a_skipped_seq(self, messages):
+        receiver = ReliableReceiver(accept_timeout=10.0)
+        receiver.start()
+        with socket.create_connection(("127.0.0.1", receiver.port)) as sock:
+            sock.sendall((_msg_line(0, messages[0].to_json())
+                          + _msg_line(2, messages[2].to_json())).encode())
+            with pytest.raises(ReliableTransportError,
+                               match="seq 2 skips ahead of seq 1"):
+                receiver.wait(timeout=10.0)
+
+
+class TestFrameDecoder:
+    def test_corrupt_crc_raises_and_is_not_acked(self, messages):
+        sent = []
+        decoder = FrameDecoder(send=sent.append)
+        payload = messages[0].to_json()
+        with pytest.raises(ReliableTransportError, match="seq 0 failed its"):
+            decoder.feed_line(_msg_line(0, payload, crc=1))
+        assert decoder.corrupt_frames == 1 and sent == []
+        assert decoder.delivered == 0
+
+    def test_replayed_frames_are_reacked_once_delivered(self, messages):
+        sent, got = [], []
+        decoder = FrameDecoder(send=sent.append, on_message=got.append)
+        lines = [_msg_line(i, m.to_json()) for i, m in enumerate(messages[:3])]
+        for line in lines + lines[1:]:
+            decoder.feed_line(line)
+        assert [m.event.eid for m in got] == \
+            [m.event.eid for m in messages[:3]]
+        assert decoder.duplicates == 2
+        assert [json.loads(b)["seq"] for b in sent] == [0, 1, 2, 1, 2]
