@@ -5,8 +5,6 @@ from .channel import (
     FifoChannel,
     MultiChannel,
     ReorderingChannel,
-    SocketSender,
-    SocketTransport,
     deliver_all,
 )
 from .delivery import CausalDelivery
@@ -14,7 +12,6 @@ from .faults import FaultLog, FaultPlan, FaultyChannel
 from .observer import Observer, ObserverHealth
 from .reliable import (
     FrameDecoder,
-    ReliableReceiver,
     ReliableSender,
     ReliableTransportError,
     RetransmitConfig,
@@ -26,8 +23,6 @@ __all__ = [
     "FifoChannel",
     "MultiChannel",
     "ReorderingChannel",
-    "SocketSender",
-    "SocketTransport",
     "deliver_all",
     "CausalDelivery",
     "FaultLog",
@@ -36,7 +31,6 @@ __all__ = [
     "Observer",
     "ObserverHealth",
     "FrameDecoder",
-    "ReliableReceiver",
     "ReliableSender",
     "ReliableTransportError",
     "RetransmitConfig",

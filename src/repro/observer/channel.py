@@ -1,31 +1,31 @@
-"""Message transport between the instrumented program and the observer.
+"""In-process delivery orders between the instrumented program and the
+observer.
 
 JMPaX sends messages "via a socket to an external observer" (§4.1), and the
 paper stresses that analyzing *computations* (not flat traces) lets the
 observer "properly deal with potential reordering of delivered messages
 (e.g., due to using multiple channels to reduce the monitoring overhead)"
-(§2.2).  These channel classes realize those delivery conditions so tests
-and benchmarks can exercise the reordering-tolerance code path (E7):
+(§2.2).  These channel classes simulate those delivery conditions in one
+process so tests and benchmarks can exercise the reordering-tolerance code
+path (E7):
 
 * :class:`FifoChannel` — in-order delivery (the trivial baseline);
 * :class:`ReorderingChannel` — adversarial bounded reordering with a seeded
   RNG: each delivery picks a random message among the ``window`` oldest
   undelivered ones;
 * :class:`MultiChannel` — messages sharded over ``k`` FIFO sub-channels
-  (e.g. by thread) and merged nondeterministically at the receiver;
-* :class:`SocketTransport` — a real localhost TCP socket carrying the JSON
-  wire format, for two-process deployments like the original tool.
+  (e.g. by thread) and merged nondeterministically at the receiver.
 
 Channels are synchronous pull-based queues: producers :meth:`put`, the
-consumer :meth:`drain`s what is currently deliverable.
+consumer :meth:`drain`s what is currently deliverable.  A stream that
+leaves the process takes the one real wire instead: a
+:class:`~repro.observer.reliable.ReliableSender` attached to an analysis
+server (:func:`repro.server.attach`).
 """
 
 from __future__ import annotations
 
-import json
 import random
-import socket
-import threading
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
@@ -36,7 +36,6 @@ __all__ = [
     "FifoChannel",
     "ReorderingChannel",
     "MultiChannel",
-    "SocketTransport",
     "deliver_all",
 ]
 
@@ -166,128 +165,3 @@ def deliver_all(channel: Channel, messages: Iterable[Message]) -> list[Message]:
     out.extend(channel.drain())
     return out
 
-
-class SocketTransport:
-    """Localhost TCP transport carrying newline-delimited JSON messages.
-
-    The sender side mirrors JMPaX's instrumented JVM; the receiver side is
-    the external observer process.  Mostly used by the integration test and
-    the ``examples/two_process_observer.py`` demo.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 strict: bool = True, accept_timeout: Optional[float] = 30.0,
-                 recv_timeout: Optional[float] = 30.0):
-        self._server = socket.create_server((host, port))
-        self.host, self.port = self._server.getsockname()
-        self._received: list[Message] = []
-        self._thread: Optional[threading.Thread] = None
-        self._strict = strict
-        self._accept_timeout = accept_timeout
-        self._recv_timeout = recv_timeout
-        self._closed = False
-        #: Set when accept() timed out: the sender never connected.
-        self.sender_never_connected = False
-        #: Set when the connection idled past ``recv_timeout`` mid-stream.
-        self.receive_timed_out = False
-        #: Undecodable lines (recorded; re-raised by wait() when strict).
-        self.errors: list[tuple[str, Exception]] = []
-
-    def start_receiver(self) -> None:
-        """Accept one sender connection and collect messages until EOF
-        (runs in a daemon thread).  Malformed lines are recorded in
-        :attr:`errors`; with ``strict=True`` (default) :meth:`wait`
-        re-raises the first one.  A sender that never connects within
-        ``accept_timeout``, or goes silent for ``recv_timeout`` mid-stream,
-        ends the loop with the corresponding flag set instead of blocking
-        forever."""
-
-        def loop() -> None:
-            self._server.settimeout(self._accept_timeout)
-            try:
-                conn, _addr = self._server.accept()
-            except (socket.timeout, OSError):
-                self.sender_never_connected = True
-                return
-            conn.settimeout(self._recv_timeout)
-            try:
-                with conn, conn.makefile("r", encoding="utf-8") as f:
-                    for line in f:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            self._received.append(Message.from_json(line))
-                        except Exception as exc:  # noqa: BLE001 - recorded
-                            self.errors.append((line[:200], exc))
-            except socket.timeout:
-                self.receive_timed_out = True
-
-        self._thread = threading.Thread(target=loop, daemon=True)
-        self._thread.start()
-
-    def sender(self) -> "SocketSender":
-        return SocketSender(self.host, self.port)
-
-    def wait(self, timeout: float = 10.0) -> list[Message]:
-        """Wait for the sender to disconnect; return messages in arrival
-        order.  The server socket is released whatever the outcome."""
-        if self._thread is None:
-            raise RuntimeError("start_receiver was not called")
-        try:
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                raise TimeoutError("socket receiver did not finish in time")
-        finally:
-            self.close()
-        if self.sender_never_connected:
-            raise ConnectionError(
-                f"no sender connected to {self.host}:{self.port} within "
-                f"{self._accept_timeout}s"
-            )
-        if self._strict and self.receive_timed_out:
-            raise TimeoutError(
-                f"sender went silent for more than {self._recv_timeout}s "
-                "mid-stream (crashed without closing?)"
-            )
-        if self._strict and self.errors:
-            line, exc = self.errors[0]
-            raise ValueError(
-                f"malformed message line over the wire: {line!r}"
-            ) from exc
-        return list(self._received)
-
-    def close(self) -> None:
-        """Release the server socket (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._server.close()
-
-    def __enter__(self) -> "SocketTransport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SocketSender:
-    """The instrumented-program side of :class:`SocketTransport`."""
-
-    def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port))
-        self._file = self._sock.makefile("w", encoding="utf-8")
-
-    def send(self, msg: Message) -> None:
-        self._file.write(msg.to_json())
-        self._file.write("\n")
-
-    def close(self) -> None:
-        self._file.flush()
-        self._file.close()
-        self._sock.close()
-
-    def __enter__(self) -> "SocketSender":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

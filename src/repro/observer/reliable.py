@@ -1,8 +1,9 @@
 """Reliable transport: sequenced, acked, CRC-checked frames over TCP.
 
-``SocketTransport`` (the paper's deployment shape) streams bare messages
-and trusts the socket.  This module adds what the two-process pipeline and
-the analysis server (:mod:`repro.server`) need on top of it:
+This is the one wire a message stream takes out of the instrumented
+process: :class:`ReliableSender` on the program's side, and on the
+observer's side the analysis server (:mod:`repro.server`), which runs one
+:class:`FrameDecoder` per client connection.  On top of TCP it adds:
 
 * every payload rides a sequence-numbered, CRC-checked frame;
 * the receiver acks each frame it accepts; duplicates (frames a resumed
@@ -14,18 +15,19 @@ the analysis server (:mod:`repro.server`) need on top of it:
   when it is full, so a slow receiver bounds the sender's buffer, and a
   receiver that stops acking for :data:`SEND_WAIT_TIMEOUT` seconds fails
   the sender;
-* heartbeats flow while the sender is idle, letting the receiver
-  distinguish "quiet" from "crashed";
+* heartbeats flow while the sender is idle, so a receiver with a read
+  timeout (the server's ``io_timeout``) tells "quiet" from "crashed";
 * the stream ends with a ``fin`` frame carrying the total count, which
   the receiver uses to verify zero loss end-to-end.
 
 There is no retransmission timer: a live TCP connection never loses a
 frame, so a frame can only go missing with its connection.  A frame that
-fails its CRC or skips ahead of the next expected ``seq`` therefore
-breaks the connection (:class:`FrameDecoder` raises), and an EOF before
-the ``finack`` fails the sender.  Recovering from a lost connection is
-the caller's job: the analysis server's client keeps a resume buffer and
-replays it on a new connection (:mod:`repro.server.client`).
+fails its CRC, carries a payload that does not decode, or skips ahead of
+the next expected ``seq`` therefore breaks the connection
+(:class:`FrameDecoder` raises), and an EOF before the ``finack`` fails
+the sender.  Recovering from a lost connection is the caller's job: the
+analysis server's client keeps a resume buffer and replays it on a new
+connection (:mod:`repro.server.client`).
 
 Wire format: newline-delimited JSON frames over TCP ::
 
@@ -52,8 +54,8 @@ from typing import Callable, Iterable, Optional
 from ..core.events import Message
 from ..obs import metrics as _metrics
 
-__all__ = ["RetransmitConfig", "ReliableSender", "ReliableReceiver",
-           "FrameDecoder", "ReliableTransportError", "SEND_WAIT_TIMEOUT"]
+__all__ = ["RetransmitConfig", "ReliableSender", "FrameDecoder",
+           "ReliableTransportError", "SEND_WAIT_TIMEOUT"]
 
 _C_FRAMES = _metrics.REGISTRY.counter(
     "reliable.frames_sent", unit="frames",
@@ -78,7 +80,7 @@ _C_RECV_DUPS = _metrics.REGISTRY.counter(
     help="duplicate frames re-acked and dropped by the receiver")
 _C_RECV_CORRUPT = _metrics.REGISTRY.counter(
     "reliable.recv_corrupt_frames", unit="frames",
-    help="frames the receiver rejected (bad JSON, shape or CRC)")
+    help="frames the receiver rejected (bad JSON, shape, CRC or payload)")
 
 #: Longest :meth:`ReliableSender.send` waits for window space before it
 #: declares the receiver stuck.  It must cover the analysis server's
@@ -129,13 +131,13 @@ class FrameDecoder:
     :class:`Message` is handed to ``on_message`` in send order, and
     control frames the decoder does not consume (``fin``, handshake
     frames, anything unknown) are *returned* from :meth:`feed_line` so the
-    caller decides how to answer them.  This is the piece
-    :class:`ReliableReceiver` (single peer) and the multi-session server
-    (:mod:`repro.server`, one decoder per client connection) share.
+    caller decides how to answer them.  The analysis server
+    (:mod:`repro.server`) runs one decoder per client connection.
 
     The connection is TCP, so frames arrive intact and in order.  A line
-    that is not a valid frame, fails its CRC, or skips ahead of the next
-    expected ``seq`` means the connection itself is broken:
+    that is not a valid frame, fails its CRC, carries a payload that is
+    not a :class:`Message`, or skips ahead of the next expected ``seq``
+    means the connection itself is broken:
     :meth:`feed_line` raises :class:`ReliableTransportError` and the
     caller drops the connection.
 
@@ -163,9 +165,6 @@ class FrameDecoder:
         self.expected_total: Optional[int] = None
         self.duplicates = 0
         self.corrupt_frames = 0
-        self.heartbeats = 0
-        self.last_heartbeat: Optional[float] = None
-        self.errors: list[str] = []
 
     @property
     def delivered(self) -> int:
@@ -199,8 +198,6 @@ class FrameDecoder:
             self._on_msg_frame(d)
             return None
         if kind == "hb":
-            self.heartbeats += 1
-            self.last_heartbeat = time.monotonic()
             return None
         if kind == "fin":
             self.expected_total = d.get("count")
@@ -229,13 +226,13 @@ class FrameDecoder:
         else:
             try:
                 msg = Message.from_json(payload)
-            except Exception as exc:  # noqa: BLE001 - recorded
-                self.errors.append(f"seq {seq}: {exc}")
-            else:
-                if _metrics.ENABLED:
-                    _C_RECV_MSGS.inc()
-                if self._on_message is not None:
-                    self._on_message(msg)
+            except Exception as exc:  # noqa: BLE001 - any decode failure
+                raise self._corrupt(
+                    f"seq {seq} payload is not a message: {exc!r}") from exc
+            if _metrics.ENABLED:
+                _C_RECV_MSGS.inc()
+            if self._on_message is not None:
+                self._on_message(msg)
             self._next_deliver += 1
         self._send(_frame({"t": "ack", "seq": seq}))
 
@@ -247,15 +244,11 @@ class ReliableSender:
     order, as Algorithm A's sink produces them.
 
     Args:
-        host/port: the :class:`ReliableReceiver` address.
-        window/heartbeat_interval: individual flow-control knobs; see
-            :class:`RetransmitConfig` for their semantics.
-        config: a complete :class:`RetransmitConfig`; when given it takes
-            precedence over the individual keyword knobs.  The effective
-            configuration is always readable back as :attr:`config`.
-        sock: an already-connected socket to use instead of dialing
-            ``host:port`` — the multi-session client performs its
-            handshake synchronously and then hands the socket over.
+        sock: the connected socket to the receiver.  The client
+            (:func:`repro.server.attach`) dials and performs its handshake
+            synchronously, then hands the socket over.
+        config: flow-control knobs (:class:`RetransmitConfig`; the
+            defaults when omitted), readable back as :attr:`config`.
         on_frame: callback for reverse-direction frames the sender does
             not consume itself (acks and finacks are handled internally;
             an ``err`` frame fails the transport with the peer's reason).
@@ -269,31 +262,19 @@ class ReliableSender:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        window: int = 64,
-        heartbeat_interval: Optional[float] = 0.5,
+        sock: socket.socket,
         config: Optional[RetransmitConfig] = None,
-        sock: Optional[socket.socket] = None,
         on_frame: Optional[Callable[[dict], None]] = None,
         first_seq: int = 0,
     ):
         if first_seq < 0:
             raise ValueError("first_seq must be >= 0")
-        if config is None:
-            config = RetransmitConfig(window=window,
-                                      heartbeat_interval=heartbeat_interval)
         #: The effective (validated) flow-control configuration.
-        self.config = config
+        self.config = config if config is not None else RetransmitConfig()
         self._on_frame = on_frame
-        if sock is not None:
-            self._sock = sock
-        elif host is not None and port is not None:
-            self._sock = socket.create_connection((host, port))
-        else:
-            raise ValueError("need either host+port or a connected sock")
+        self._sock = sock
         self._sock_lock = threading.Lock()
-        self._window = config.window
+        self._window = self.config.window
 
         self._cond = threading.Condition()
         self._next_seq = first_seq
@@ -488,121 +469,3 @@ class ReliableSender:
             with self._sock_lock:
                 self._sock.close()
 
-
-class ReliableReceiver:
-    """The observer side: receive an exactly-once, in-order stream.
-
-    Accepts one sender and acks every frame.  A corrupt or out-of-order
-    frame ends the connection, and :meth:`wait` then raises.
-    ``on_message`` (when given) is called with each :class:`Message` in
-    seq order.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 accept_timeout: float = 30.0,
-                 on_message: Optional[Callable[[Message], None]] = None):
-        self._server = socket.create_server((host, port))
-        self.host, self.port = self._server.getsockname()
-        self._accept_timeout = accept_timeout
-        self._on_message = on_message
-        self._thread: Optional[threading.Thread] = None
-        self._received: list[Message] = []
-        self._decoder = FrameDecoder(send=lambda data: None,
-                                     on_message=self._deliver)
-        self.sender_never_connected = False
-
-    # decoder state, re-exported under the receiver's historical names
-    @property
-    def duplicates(self) -> int:
-        return self._decoder.duplicates
-
-    @property
-    def corrupt_frames(self) -> int:
-        return self._decoder.corrupt_frames
-
-    @property
-    def heartbeats(self) -> int:
-        return self._decoder.heartbeats
-
-    @property
-    def last_heartbeat(self) -> Optional[float]:
-        return self._decoder.last_heartbeat
-
-    @property
-    def errors(self) -> list[str]:
-        return self._decoder.errors
-
-    @property
-    def _expected_total(self) -> Optional[int]:
-        return self._decoder.expected_total
-
-    @property
-    def _next_deliver(self) -> int:
-        return self._decoder.delivered
-
-    def _deliver(self, msg: Message) -> None:
-        self._received.append(msg)
-        if self._on_message is not None:
-            self._on_message(msg)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
-    def _loop(self) -> None:
-        self._server.settimeout(self._accept_timeout)
-        try:
-            conn, _addr = self._server.accept()
-        except (socket.timeout, OSError):
-            self.sender_never_connected = True
-            return
-        conn.settimeout(self._accept_timeout)
-        self._decoder._send = conn.sendall
-        try:
-            with conn, conn.makefile("r", encoding="utf-8") as f:
-                for line in f:
-                    frame = self._decoder.feed_line(line)
-                    if frame is not None and frame.get("t") == "fin":
-                        conn.sendall(_frame({"t": "finack"}))
-                        if self._decoder.complete:
-                            return
-        except (socket.timeout, OSError, ReliableTransportError) as exc:
-            self._decoder.errors.append(f"receive loop ended: {exc!r}")
-
-    def wait(self, timeout: float = 10.0) -> list[Message]:
-        """Wait for the full stream (fin received and every seq delivered);
-        returns messages in send order."""
-        if self._thread is None:
-            raise RuntimeError("start was not called")
-        try:
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                raise TimeoutError(
-                    "reliable receiver incomplete: "
-                    + (f"{self._next_deliver}/{self._expected_total} delivered"
-                       if self._expected_total is not None
-                       else f"{self._next_deliver} delivered, no fin seen")
-                )
-        finally:
-            self.close()
-        if self.sender_never_connected:
-            raise ConnectionError(
-                f"no sender connected to {self.host}:{self.port} within "
-                f"{self._accept_timeout}s"
-            )
-        if not self._decoder.complete \
-                or len(self._received) != self._expected_total:
-            raise ReliableTransportError(
-                f"stream ended with {len(self._received)} of "
-                f"{self._expected_total or '?'} messages"
-                + "".join(f"; {e}" for e in self.errors))
-        return list(self._received)
-
-    def close(self) -> None:
-        self._server.close()
-
-    def __enter__(self) -> "ReliableReceiver":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

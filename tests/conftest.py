@@ -72,6 +72,18 @@ def serve_once(execution, program, spec, engines, **config):
     return verdict, record
 
 
+def sealed_record(records, budget=10.0):
+    """The one session record an ``on_session_end`` callback appended to
+    ``records``, waiting up to ``budget`` seconds for it."""
+    import time
+
+    deadline = time.monotonic() + budget
+    while not records and time.monotonic() < deadline:
+        time.sleep(0.02)
+    [record] = records
+    return record
+
+
 @pytest.fixture
 def landing_execution():
     """The paper's Example 1 observed execution (radio down after landing)."""

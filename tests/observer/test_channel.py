@@ -1,4 +1,5 @@
-"""Tests for message transports: FIFO, bounded reordering, multi-channel."""
+"""Tests for message transports: FIFO, bounded reordering, multi-channel,
+and the failure paths of the off-process wire."""
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.observer.channel import (
     ReorderingChannel,
     deliver_all,
 )
+
+from ..conftest import sealed_record
 
 
 def fake_messages(n, n_threads=2):
@@ -96,85 +99,86 @@ class TestMultiChannel:
 
 
 class TestSocketHardening:
-    """The transport must fail loudly and release its socket on every path."""
+    """The in-process channels above simulate delivery orders; a stream
+    that leaves the process takes the one real wire, a reliable sender
+    attached to an analysis server.  That wire must fail loudly and
+    release its sockets on every path."""
+
+    @staticmethod
+    def _serve(records, **config):
+        from repro.server import AnalysisServer, ServerConfig
+
+        return AnalysisServer(ServerConfig(port=0, **config),
+                              on_session_end=records.append)
 
     def test_never_connected_raises_and_frees_port(self):
         import socket as socketlib
 
-        from repro.observer.channel import SocketTransport
+        from repro.server import attach
 
-        transport = SocketTransport(accept_timeout=0.2)
-        transport.start_receiver()
-        with pytest.raises(ConnectionError, match="no sender connected"):
-            transport.wait(timeout=5.0)
-        assert transport.sender_never_connected
+        with self._serve([]) as srv:
+            host, port = srv.host, srv.port
+        # nobody listens any more: the sender fails at once, loudly
+        with pytest.raises(ConnectionError):
+            attach(host, port, n_threads=2, initial={"v0": 0},
+                   connect_timeout=2.0)
         # the port must be reusable immediately — no leaked server socket
-        srv = socketlib.create_server((transport.host, transport.port))
+        srv = socketlib.create_server((host, port))
         srv.close()
-
-    def test_wait_without_start_rejected(self):
-        from repro.observer.channel import SocketTransport
-
-        transport = SocketTransport(accept_timeout=0.2)
-        with pytest.raises(RuntimeError, match="start_receiver"):
-            transport.wait()
-        transport.close()
 
     def test_mid_stream_silence_times_out(self):
         import socket as socketlib
 
-        from repro.observer.channel import SocketTransport
+        from repro.server.protocol import Hello, encode_frame, read_frame_line
 
-        transport = SocketTransport(accept_timeout=5.0, recv_timeout=0.2)
-        transport.start_receiver()
-        # connect but never send or close: a crashed sender
-        sock = socketlib.create_connection((transport.host, transport.port))
-        try:
-            with pytest.raises(TimeoutError, match="silent"):
-                transport.wait(timeout=5.0)
-            assert transport.receive_timed_out
-        finally:
-            sock.close()
-
-    def test_lenient_mode_returns_partial_on_timeout(self):
-        from repro.observer.channel import SocketTransport
-
-        msgs = fake_messages(3)
-        transport = SocketTransport(accept_timeout=5.0, recv_timeout=0.2,
-                                    strict=False)
-        transport.start_receiver()
-        sender = transport.sender()
-        for m in msgs:
-            sender.send(m)
-        sender._file.flush()  # deliver without closing: then go silent
-        received = transport.wait(timeout=5.0)
-        assert transport.receive_timed_out
-        assert [m.event.eid for m in received] == [m.event.eid for m in msgs]
-        sender.close()
+        records = []
+        with self._serve(records, io_timeout=0.2) as srv:
+            # attach, then never send or close: a crashed sender
+            sock = socketlib.create_connection((srv.host, srv.port))
+            try:
+                sock.sendall(encode_frame(Hello(
+                    mode="attach", n_threads=2, initial={"v0": 0}
+                ).to_frame()))
+                assert read_frame_line(sock)["t"] == "helloack"
+                record = sealed_record(records)
+            finally:
+                sock.close()
+        assert record["state"] == "failed"
+        assert "timed out" in record["error"]
 
     def test_malformed_line_recorded_and_raised_when_strict(self):
-        import socket as socketlib
+        from repro.observer.reliable import ReliableTransportError
+        from repro.server import attach
 
-        from repro.observer.channel import SocketTransport
-
-        transport = SocketTransport(accept_timeout=5.0)
-        transport.start_receiver()
-        sock = socketlib.create_connection((transport.host, transport.port))
-        sock.sendall(b"this is not json\n")
-        sock.close()
-        with pytest.raises(ValueError, match="malformed"):
-            transport.wait(timeout=5.0)
-        assert transport.errors
+        records = []
+        with self._serve(records) as srv:
+            session = attach(srv.host, srv.port, n_threads=2,
+                             initial={"v0": 0})
+            with pytest.raises(ReliableTransportError):
+                with session:
+                    session._sender._transmit(b"this is not json\n")
+                    for m in fake_messages(3):
+                        session.send(m)
+            record = sealed_record(records)
+        assert record["state"] == "failed"
+        assert "not a JSON object" in record["error"]
 
     def test_context_managers_close_both_ends(self):
-        from repro.observer.channel import SocketTransport
+        import socket as socketlib
+
+        from repro.server import attach
 
         msgs = fake_messages(4)
-        with SocketTransport(accept_timeout=5.0) as transport:
-            transport.start_receiver()
-            with transport.sender() as sender:
+        with self._serve([]) as srv:
+            with attach(srv.host, srv.port, n_threads=2,
+                        initial={"v0": 0, "v1": 0, "v2": 0}) as session:
                 for m in msgs:
-                    sender.send(m)
-            received = transport.wait(timeout=5.0)
-        assert len(received) == 4
-        transport.close()  # idempotent
+                    session.send(m)
+            host, port = srv.host, srv.port
+        assert session.verdict.state == "finished"
+        assert session.verdict.analyzed == 4
+        # the socket is released once the ack reader lets go of it
+        session._sender._ack_thread.join(5.0)
+        assert session._sender._sock.fileno() == -1
+        srv = socketlib.create_server((host, port))
+        srv.close()

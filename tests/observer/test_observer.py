@@ -1,5 +1,5 @@
 """Tests for the online observer: reordering tolerance (E7) and the socket
-transport (the two-process deployment of Fig. 4)."""
+wire to an analysis server (the two-process deployment of Fig. 4)."""
 
 import dataclasses
 import gc
@@ -15,7 +15,6 @@ from repro.observer import (
     MultiChannel,
     Observer,
     ReorderingChannel,
-    SocketTransport,
     deliver_all,
 )
 from repro.sched import RandomScheduler, run_program
@@ -108,37 +107,50 @@ class TestReorderingInvariance:
             assert len(obs.violations) == 1, seed
 
 
-class TestSocketTransport:
-    def test_round_trip(self, xyz_execution):
-        transport = SocketTransport()
-        transport.start_receiver()
-        sender = transport.sender()
-        for m in xyz_execution.messages:
-            sender.send(m)
-        sender.close()
-        received = transport.wait(timeout=10)
+def serve_xyz(execution, records, tamper=None, **config):
+    """Stream the xyz run over the wire to an analysis server; return the
+    client session (``tamper`` may rewrite its sender first)."""
+    from repro.server import AnalysisServer, ServerConfig, attach
+
+    with AnalysisServer(ServerConfig(port=0, **config),
+                        on_session_end=records.append) as srv:
+        with attach(srv.host, srv.port, n_threads=execution.n_threads,
+                    initial={v: execution.initial_store[v] for v in XYZ_VARS},
+                    spec=XYZ_PROPERTY, program="xyz") as session:
+            if tamper is not None:
+                tamper(session._sender)
+            for m in execution.messages:
+                session.send(m)
+    return session
+
+
+class TestServedSocket:
+    """The two-process deployment of Fig. 4: messages leave the program
+    over TCP and an analysis server hosts the observer."""
+
+    def test_round_trip(self, xyz_execution, tmp_path):
+        from repro.store import TraceArchive
+        from repro.store.format import read_trace_v2
+
+        serve_xyz(xyz_execution, [], archive_dir=str(tmp_path))
+        archive = TraceArchive(tmp_path)
+        [entry] = archive.entries()
+        received = read_trace_v2(archive.path_of(entry)).messages
         assert [m.event.eid for m in received] == [
             m.event.eid for m in xyz_execution.messages]
         assert [tuple(m.clock) for m in received] == [
             tuple(m.clock) for m in xyz_execution.messages]
 
     def test_observer_over_socket(self, xyz_execution):
-        transport = SocketTransport()
-        transport.start_receiver()
-        sender = transport.sender()
-        for m in xyz_execution.messages:
-            sender.send(m)
-        sender.close()
-        received = transport.wait(timeout=10)
+        records = []
+        session = serve_xyz(xyz_execution, records)
         obs = make_observer(xyz_execution, XYZ_VARS, spec=XYZ_PROPERTY)
-        obs.receive_batch(received)
+        obs.receive_batch(xyz_execution.messages)
         obs.finish()
-        assert len(obs.violations) == 1
-
-    def test_wait_without_receiver_errors(self):
-        transport = SocketTransport()
-        with pytest.raises(RuntimeError):
-            transport.wait()
+        assert session.verdict.violations == len(obs.violations) == 1
+        assert sorted(session.verdict.counterexamples) == \
+            sorted(obs.counterexamples())
+        assert records[0]["analyzed"] == len(xyz_execution.messages)
 
 
 class TestCausalLog:
@@ -192,35 +204,41 @@ class TestStrictGap:
 
 
 class TestSocketRobustness:
-    def _send_raw(self, transport, lines):
-        import socket as socket_mod
+    @staticmethod
+    def _before_first_message(line):
+        """A tamper that writes ``line`` raw onto the wire just before
+        the first data frame."""
+        def tamper(sender):
+            transmit = sender._transmit
 
-        sock = socket_mod.create_connection((transport.host, transport.port))
-        sock.sendall("".join(line + "\n" for line in lines).encode())
-        sock.close()
+            def first(frame):
+                sender._transmit = transmit
+                transmit(line)
+                transmit(frame)
+
+            sender._transmit = first
+        return tamper
 
     def test_garbage_line_raises_in_strict_mode(self, xyz_execution):
-        transport = SocketTransport()
-        transport.start_receiver()
-        self._send_raw(transport, [xyz_execution.messages[0].to_json(),
-                                   "{not json"])
-        with pytest.raises(ValueError, match="malformed"):
-            transport.wait(timeout=10)
+        """A line that is not a frame fails the session: the verdict is
+        never computed over a stream with a hole in it."""
+        from repro.observer.reliable import ReliableTransportError
 
-    def test_lenient_mode_records_and_continues(self, xyz_execution):
-        transport = SocketTransport(strict=False)
-        transport.start_receiver()
-        good = [m.to_json() for m in xyz_execution.messages]
-        self._send_raw(transport, good[:2] + ["garbage"] + good[2:])
-        received = transport.wait(timeout=10)
-        assert len(received) == 4
-        assert len(transport.errors) == 1
+        records = []
+        with pytest.raises(ReliableTransportError):
+            serve_xyz(xyz_execution, records,
+                      tamper=self._before_first_message(b"{not json\n"))
+        [record] = records
+        assert record["state"] == "failed"
+        assert "corrupt frame: not a JSON object" in record["error"]
 
     def test_blank_lines_ignored(self, xyz_execution):
-        transport = SocketTransport()
-        transport.start_receiver()
-        self._send_raw(transport, ["", xyz_execution.messages[0].to_json(), ""])
-        assert len(transport.wait(timeout=10)) == 1
+        records = []
+        session = serve_xyz(xyz_execution, records,
+                            tamper=self._before_first_message(b"\n\n"))
+        assert session.verdict.state == "finished"
+        assert session.verdict.analyzed == len(xyz_execution.messages)
+        assert session.verdict.violations == 1
 
 
 class TestBoundedState:

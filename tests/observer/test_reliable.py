@@ -1,123 +1,200 @@
-"""Tests for the ack-based reliable transport over TCP."""
+"""Tests for the ack-based reliable transport over TCP.
+
+The sender is exercised against a bare :class:`FrameDecoder` peer on the
+other end of a socket pair (the transport contract on its own) and
+against the analysis server, the one receiver it has in production.
+"""
 
 import itertools
 import json
 import random
 import socket
 import threading
+import time
 import zlib
 
 import pytest
 
-from repro.observer import reliable
+from repro.observer import Observer, reliable
 from repro.observer.reliable import (
     FrameDecoder,
-    ReliableReceiver,
     ReliableSender,
     ReliableTransportError,
+    RetransmitConfig,
 )
 from repro.sched import RandomScheduler, run_program
-from repro.workloads import random_program
+from repro.server import AnalysisServer, ServerConfig, attach
+from repro.server.session import Session
+from repro.workloads import XYZ_PROPERTY, XYZ_VARS, random_program
+
+from ..conftest import sealed_record
 
 
 @pytest.fixture
-def messages():
+def execution():
     program = random_program(random.Random(11), n_threads=3, n_vars=3,
                              ops_per_thread=8, write_ratio=0.7)
-    return run_program(program, RandomScheduler(11)).messages
+    return run_program(program, RandomScheduler(11))
 
 
-def roundtrip(messages, **sender_kw):
-    receiver = ReliableReceiver(accept_timeout=10.0)
-    receiver.start()
-    sender = ReliableSender("127.0.0.1", receiver.port, **sender_kw)
+@pytest.fixture
+def messages(execution):
+    return execution.messages
+
+
+def decoding_pair(config=None):
+    """A :class:`ReliableSender` on one end of a socket pair and a
+    :class:`FrameDecoder` peer on the other that acks every frame and
+    answers the fin.  Returns ``(sender, decoder, delivered, peer)``."""
+    ours, theirs = socket.socketpair()
+    delivered = []
+    decoder = FrameDecoder(send=theirs.sendall, on_message=delivered.append)
+
+    def serve():
+        with theirs, theirs.makefile("r", encoding="utf-8") as lines:
+            for line in lines:
+                frame = decoder.feed_line(line)
+                if frame is not None and frame["t"] == "fin":
+                    theirs.sendall(b'{"t": "finack"}\n')
+
+    peer = threading.Thread(target=serve, daemon=True)
+    peer.start()
+    return ReliableSender(sock=ours, config=config), decoder, delivered, peer
+
+
+def roundtrip(messages, config=None):
+    sender, decoder, delivered, peer = decoding_pair(config)
     for m in messages:
         sender.send(m)
     sender.close()
-    got = receiver.wait(timeout=10.0)
-    return got, sender, receiver
+    peer.join(10.0)
+    assert not peer.is_alive()
+    return delivered, sender, decoder
+
+
+def _xyz_initial(execution):
+    return {v: execution.initial_store[v] for v in XYZ_VARS}
+
+
+def _reference_counterexamples(execution):
+    obs = Observer(execution.n_threads, _xyz_initial(execution),
+                   spec=XYZ_PROPERTY)
+    obs.receive_batch(execution.messages)
+    obs.finish()
+    return sorted(obs.counterexamples())
 
 
 class TestCleanWire:
     def test_exactly_once_in_order(self, messages):
-        got, sender, receiver = roundtrip(messages)
+        got, sender, decoder = roundtrip(messages)
         assert [m.event.eid for m in got] == [m.event.eid for m in messages]
-        assert receiver.duplicates == 0
-        assert receiver.corrupt_frames == 0
+        assert decoder.complete
+        assert decoder.duplicates == 0
+        assert decoder.corrupt_frames == 0
         assert sender.retransmissions == 0
 
     def test_context_managers(self, messages):
-        with ReliableReceiver(accept_timeout=10.0) as receiver:
-            receiver.start()
-            with ReliableSender("127.0.0.1", receiver.port) as sender:
-                for m in messages[:4]:
-                    sender.send(m)
-            got = receiver.wait(timeout=10.0)
+        sender, _decoder, got, peer = decoding_pair()
+        with sender:
+            for m in messages[:4]:
+                sender.send(m)
+        peer.join(10.0)
+        assert not peer.is_alive()
         assert len(got) == 4
+        sender._ack_thread.join(5.0)
+        assert sender._sock.fileno() == -1
 
 
 class TestLossyDelivery:
     def test_window_backpressure(self, messages):
         """With window=1, a second send blocks until the first is acked —
         the sender buffer stays bounded."""
-        got, sender, receiver = roundtrip(messages[:6], window=1)
-        assert len(got) == 6
+        got, _sender, _decoder = roundtrip(messages[:6],
+                                           RetransmitConfig(window=1))
         assert [m.event.eid for m in got] == \
             [m.event.eid for m in messages[:6]]
 
-    def test_heartbeats_flow_while_idle(self, messages):
-        import time
+    @staticmethod
+    def _pause_mid_stream(execution, heartbeat_interval, records):
+        """Stream the xyz run to a server with a 0.5 s read timeout,
+        pausing 1.2 s after the first two messages."""
+        config = ServerConfig(port=0, io_timeout=0.5)
+        with AnalysisServer(config, on_session_end=records.append) as srv:
+            session = attach(
+                srv.host, srv.port, n_threads=execution.n_threads,
+                initial=_xyz_initial(execution), spec=XYZ_PROPERTY,
+                config=RetransmitConfig(heartbeat_interval=heartbeat_interval))
+            with session:
+                for i, m in enumerate(execution.messages):
+                    if i == 2:
+                        time.sleep(1.2)
+                    session.send(m)
+            sealed_record(records)
+        return session
 
-        receiver = ReliableReceiver(accept_timeout=10.0)
-        receiver.start()
-        sender = ReliableSender("127.0.0.1", receiver.port,
-                                heartbeat_interval=0.05)
-        sender.send(messages[0])
-        deadline = time.monotonic() + 5.0
-        while receiver.heartbeats == 0 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert sender.heartbeats_sent > 0
-        assert receiver.heartbeats > 0
-        assert receiver.last_heartbeat is not None
-        sender.close()
-        receiver.wait(timeout=10.0)
+    def test_heartbeats_flow_while_idle(self, xyz_execution):
+        """A sender that idles longer than the server's ``io_timeout``
+        keeps its session alive with heartbeats."""
+        records = []
+        session = self._pause_mid_stream(xyz_execution, 0.1, records)
+        assert session._sender.heartbeats_sent > 0
+        assert session.verdict.state == "finished"
+        assert session.verdict.analyzed == len(xyz_execution.messages)
+        assert sorted(session.verdict.counterexamples) == \
+            _reference_counterexamples(xyz_execution)
+        assert records[0]["state"] == "finished"
+
+    def test_idle_without_heartbeats_fails_the_session(self, xyz_execution):
+        records = []
+        with pytest.raises(ReliableTransportError):
+            self._pause_mid_stream(xyz_execution, None, records)
+        [record] = records
+        assert record["state"] == "failed"
+        assert "timed out" in record["error"]
 
 
 class TestReceiverErrors:
     def test_never_connected(self):
-        receiver = ReliableReceiver(accept_timeout=0.2)
-        receiver.start()
-        with pytest.raises(ConnectionError, match="no sender connected"):
-            receiver.wait(timeout=5.0)
+        """A peer that connects but never says hello is dropped after the
+        server's ``io_timeout``, and no session is created for it."""
+        from repro.server import fetch_status
 
-    def test_wait_before_start(self):
-        receiver = ReliableReceiver(accept_timeout=0.2)
-        with pytest.raises(RuntimeError, match="start"):
-            receiver.wait()
-        receiver.close()
+        with AnalysisServer(ServerConfig(port=0, io_timeout=0.2)) as srv:
+            with socket.create_connection((srv.host, srv.port)) as sock:
+                sock.settimeout(5.0)
+                assert sock.recv(1) == b""
+            status = fetch_status(srv.host, srv.port)
+        assert status["sessions"] == []
 
     def test_send_after_close_rejected(self, messages):
-        receiver = ReliableReceiver(accept_timeout=10.0)
-        receiver.start()
-        sender = ReliableSender("127.0.0.1", receiver.port)
+        sender, _decoder, _got, peer = decoding_pair()
         sender.send(messages[0])
         sender.close()
         with pytest.raises(ReliableTransportError, match="closed"):
             sender.send(messages[1])
-        receiver.wait(timeout=10.0)
+        peer.join(10.0)
+        assert not peer.is_alive()
 
-    def test_on_message_callback_streams_in_order(self, messages):
+    def test_on_message_callback_streams_in_order(self, execution,
+                                                  monkeypatch):
+        """The server's decoder hands each message to the session in send
+        order, once."""
         seen = []
-        receiver = ReliableReceiver(accept_timeout=10.0,
-                                    on_message=seen.append)
-        receiver.start()
-        with ReliableSender("127.0.0.1", receiver.port) as sender:
-            for m in messages:
-                sender.send(m)
-        got = receiver.wait(timeout=10.0)
-        assert seen == got
+        enqueue = Session.enqueue
+
+        def record(self, msg, timeout):
+            seen.append(msg)
+            return enqueue(self, msg, timeout)
+
+        monkeypatch.setattr(Session, "enqueue", record)
+        with AnalysisServer(ServerConfig(port=0)) as srv:
+            with attach(srv.host, srv.port, n_threads=execution.n_threads,
+                        initial=dict(execution.initial_store)) as session:
+                for m in execution.messages:
+                    session.send(m)
+        assert session.verdict.analyzed == len(execution.messages)
         assert [m.event.eid for m in seen] == \
-            [m.event.eid for m in messages]
+            [m.event.eid for m in execution.messages]
 
 
 def _peer(handle):
@@ -161,6 +238,13 @@ def _send_until_error(sender, messages, budget=10.0):
     raise box["error"]
 
 
+def _quiet_sender(server):
+    """A window-4, heartbeat-free sender dialled to ``server``."""
+    sock = socket.create_connection(server.getsockname())
+    return ReliableSender(sock=sock, config=RetransmitConfig(
+        window=4, heartbeat_interval=None))
+
+
 def _msg_line(seq, payload, crc=None):
     if crc is None:
         crc = zlib.crc32(payload.encode("utf-8"))
@@ -182,9 +266,7 @@ class TestBrokenConnection:
         try:
             with pytest.raises(ReliableTransportError,
                                match="closed before the finack"):
-                with ReliableSender("127.0.0.1", server.getsockname()[1],
-                                    window=4,
-                                    heartbeat_interval=None) as sender:
+                with _quiet_sender(server) as sender:
                     _send_until_error(sender, messages)
         finally:
             server.close()
@@ -196,22 +278,35 @@ class TestBrokenConnection:
         try:
             with pytest.raises(ReliableTransportError,
                                match="no ack for frame seq 0 within 0.3s"):
-                with ReliableSender("127.0.0.1", server.getsockname()[1],
-                                    window=4,
-                                    heartbeat_interval=None) as sender:
+                with _quiet_sender(server) as sender:
                     _send_until_error(sender, messages, budget=5.0)
         finally:
             server.close()
 
-    def test_receiver_rejects_a_skipped_seq(self, messages):
-        receiver = ReliableReceiver(accept_timeout=10.0)
-        receiver.start()
-        with socket.create_connection(("127.0.0.1", receiver.port)) as sock:
-            sock.sendall((_msg_line(0, messages[0].to_json())
-                          + _msg_line(2, messages[2].to_json())).encode())
-            with pytest.raises(ReliableTransportError,
-                               match="seq 2 skips ahead of seq 1"):
-                receiver.wait(timeout=10.0)
+    def test_receiver_rejects_a_skipped_seq(self, xyz_execution):
+        records = []
+        with AnalysisServer(ServerConfig(port=0),
+                            on_session_end=records.append) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=xyz_execution.n_threads,
+                             initial=_xyz_initial(xyz_execution),
+                             spec=XYZ_PROPERTY)
+            transmit = session._sender._transmit
+            frames = []
+
+            def skip_second(frame):
+                frames.append(frame)
+                if len(frames) != 2:
+                    transmit(frame)
+
+            session._sender._transmit = skip_second
+            with pytest.raises(ReliableTransportError):
+                with session:
+                    for m in xyz_execution.messages:
+                        session.send(m)
+            record = sealed_record(records)
+        assert record["state"] == "failed"
+        assert "frame seq 2 skips ahead of seq 1" in record["error"]
 
 
 class TestFrameDecoder:
@@ -223,6 +318,17 @@ class TestFrameDecoder:
             decoder.feed_line(_msg_line(0, payload, crc=1))
         assert decoder.corrupt_frames == 1 and sent == []
         assert decoder.delivered == 0
+
+    def test_undecodable_payload_raises_and_is_not_acked(self, messages):
+        sent, got = [], []
+        decoder = FrameDecoder(send=sent.append, on_message=got.append)
+        decoder.feed_line(_msg_line(0, messages[0].to_json()))
+        with pytest.raises(ReliableTransportError,
+                           match="seq 1 payload is not a message"):
+            decoder.feed_line(_msg_line(1, '{"bogus": 1}'))
+        assert decoder.corrupt_frames == 1
+        assert [json.loads(b)["seq"] for b in sent] == [0]
+        assert len(got) == 1 and decoder.delivered == 1
 
     def test_replayed_frames_are_reacked_once_delivered(self, messages):
         sent, got = [], []

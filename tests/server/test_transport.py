@@ -1,15 +1,17 @@
 """The served path's one resend mechanism: TCP plus the resume buffer.
 
 A live TCP connection loses no frame, so the client sender keeps no
-retransmission timer.  A frame the daemon cannot accept (here: one with a
-bad CRC) is handled like a dropped connection — a resumable session parks
-and the client's resume replays it, any other session fails with a reason
-— and a clean session, however slow the daemon is to ack, re-sends
-nothing.
+retransmission timer.  A frame the daemon cannot accept (one with a bad
+CRC, or a payload that is not a message) is handled like a dropped
+connection — a resumable session parks and the client's resume replays
+it, any other session fails with a reason — and a clean session, however
+slow the daemon is to ack, re-sends nothing.
 """
 
+import json
 import random
 import time
+import zlib
 
 import pytest
 
@@ -20,22 +22,35 @@ from repro.server import AnalysisServer, ServerConfig, attach
 from repro.server.session import Session
 from repro.workloads import XYZ_PROPERTY, XYZ_VARS, random_program
 
-from ..conftest import SOUP_ENGINES, lock_soup
+from ..conftest import SOUP_ENGINES, lock_soup, sealed_record
 
 
-def _corrupt_crc_of_frame(sender, n):
-    """Make ``sender`` put a bad CRC on its ``n``-th data frame (0-based)."""
+def _rewrite_frame(sender, n, rewrite):
+    """Make ``sender`` pass its ``n``-th data frame (0-based) through
+    ``rewrite`` before it goes on the wire."""
     transmit = sender._transmit
     seen = [0]
 
     def tampered(frame):
         if frame.startswith(b'{"t": "msg"'):
             if seen[0] == n:
-                frame = frame.replace(b'"crc": ', b'"crc": 1', 1)
+                frame = rewrite(frame)
             seen[0] += 1
         transmit(frame)
 
     sender._transmit = tampered
+
+
+def _bad_crc(frame):
+    return frame.replace(b'"crc": ', b'"crc": 1', 1)
+
+
+def _undecodable_payload(frame):
+    """The frame with a payload that is not a message, under a valid CRC."""
+    d = json.loads(frame)
+    d["payload"] = '{"bogus": 1}'
+    d["crc"] = zlib.crc32(d["payload"].encode("utf-8"))
+    return (json.dumps(d) + "\n").encode("utf-8")
 
 
 def _reference(execution, initial, spec=None, engines=None):
@@ -63,7 +78,7 @@ class TestCorruptFrame:
                              n_threads=xyz_execution.n_threads,
                              initial=initial, spec=XYZ_PROPERTY,
                              reconnect=True)
-            _corrupt_crc_of_frame(session._sender, 1)
+            _rewrite_frame(session._sender, 1, _bad_crc)
             for m in xyz_execution.messages:
                 session.send(m)
             verdict = session.close(timeout=30.0)
@@ -87,7 +102,7 @@ class TestCorruptFrame:
             session = attach(srv.host, srv.port,
                              n_threads=xyz_execution.n_threads,
                              initial=initial, spec=XYZ_PROPERTY)
-            _corrupt_crc_of_frame(session._sender, 1)
+            _rewrite_frame(session._sender, 1, _bad_crc)
             with pytest.raises(ReliableTransportError,
                                match="seq 1 failed its CRC"):
                 with session:
@@ -103,6 +118,31 @@ class TestCorruptFrame:
             "failed its CRC" if resume_timeout == 0 else
             f"client did not resume within {resume_timeout}s of "
             "disconnecting")
+
+
+class TestUndecodablePayload:
+    def test_fails_the_session_instead_of_skipping_it(self, xyz_execution):
+        """A frame whose CRC matches but whose payload is not a message is
+        never acked and skipped: a verdict over the rest of the stream
+        would claim soundness it does not have."""
+        initial = {v: xyz_execution.initial_store[v] for v in XYZ_VARS}
+        last = len(xyz_execution.messages) - 1
+        records = []
+        with AnalysisServer(ServerConfig(port=0, workers=1),
+                            on_session_end=records.append) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=xyz_execution.n_threads,
+                             initial=initial, spec=XYZ_PROPERTY)
+            _rewrite_frame(session._sender, last, _undecodable_payload)
+            with pytest.raises(ReliableTransportError):
+                with session:
+                    for m in xyz_execution.messages:
+                        session.send(m)
+            record = sealed_record(records)
+        assert record["state"] == "failed"
+        assert record["error"].startswith(
+            "connection dropped on a bad frame: corrupt frame: "
+            f"seq {last} payload is not a message")
 
 
 def _firehose_sized():

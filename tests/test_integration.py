@@ -140,9 +140,10 @@ def test_observed_run_is_in_lattice(seed):
 
 class TestSocketEndToEnd:
     def test_trace_socket_observer_agree(self, tmp_path):
-        """record → socket → observer and record → file → builder agree."""
-        from repro.observer import SocketTransport
+        """record → socket → analysis server and record → file → builder
+        agree."""
         from repro.observer.trace import read_trace, write_trace
+        from repro.server import AnalysisServer, ServerConfig, attach
         from repro.sched import FixedScheduler
         from repro.workloads import (
             XYZ_OBSERVED_SCHEDULE,
@@ -153,16 +154,12 @@ class TestSocketEndToEnd:
         execution = run_program(xyz_program(),
                                 FixedScheduler(XYZ_OBSERVED_SCHEDULE))
         # via socket
-        transport = SocketTransport()
-        transport.start_receiver()
-        sender = transport.sender()
-        for m in execution.messages:
-            sender.send(m)
-        sender.close()
-        received = transport.wait()
-        obs = Observer(2, {"x": -1, "y": 0, "z": 0}, spec=XYZ_PROPERTY)
-        obs.receive_batch(received)
-        obs.finish()
+        with AnalysisServer(ServerConfig(port=0)) as srv:
+            with attach(srv.host, srv.port, n_threads=2,
+                        initial={"x": -1, "y": 0, "z": 0},
+                        spec=XYZ_PROPERTY) as session:
+                for m in execution.messages:
+                    session.send(m)
         # via trace file
         path = tmp_path / "t.trace"
         write_trace(path, 2, execution.initial_store, execution.messages)
@@ -171,4 +168,6 @@ class TestSocketEndToEnd:
                                 Monitor(XYZ_PROPERTY))
         b.feed_many(trace.messages)
         b.finish()
-        assert len(obs.violations) == len(b.violations) == 1
+        assert session.verdict.violations == len(b.violations) == 1
+        assert list(session.verdict.counterexamples) == \
+            [v.pretty(("x", "y", "z")) for v in b.violations]

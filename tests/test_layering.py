@@ -1,9 +1,13 @@
-"""Package layering: the streaming stack never imports the offline analyses.
+"""Package layering, checked statically over every module's ``import``
+statements.
 
-``repro.analysis`` (``predict``, ``detect``, the race/deadlock/atomicity
-reports) is built *on* the engines — ``predict`` runs an ``LtlEngine`` on
-the analysis bus — so an import back from the streaming layers would be a
-cycle.  Checked statically, over every module's ``import`` statements.
+* The streaming stack never imports the offline analyses.
+  ``repro.analysis`` (``predict``, ``detect``, the race/deadlock/atomicity
+  reports) is built *on* the engines — ``predict`` runs an ``LtlEngine``
+  on the analysis bus — so an import back from the streaming layers would
+  be a cycle.
+* There is one wire to the observer: the reliable transport and the
+  server/fleet stack behind it.  No other module opens sockets.
 """
 
 import ast
@@ -14,6 +18,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 STREAMING = ("engines", "observer", "server", "store", "fleet")
 FORBIDDEN = "repro.analysis"
+#: The only modules (or packages, ending in ``/``) that may import socket.
+SOCKET_OWNERS = ("repro/observer/reliable.py", "repro/server/",
+                 "repro/fleet/", "repro/cli.py")
 
 
 def _imported_modules(path: Path):
@@ -57,3 +64,22 @@ def test_checker_resolves_relative_imports():
     ltl = {name for _, name in
            _imported_modules(SRC / "repro" / "engines" / "ltl.py")}
     assert "repro.lattice.levels.LevelByLevelBuilder" in ltl
+
+
+def _socket_importers() -> list[str]:
+    return sorted(
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro").rglob("*.py")
+        if any(name == "socket" for _, name in _imported_modules(path)))
+
+
+def test_only_the_wire_imports_socket():
+    importers = _socket_importers()
+    # not vacuous: the wire's own modules are found
+    assert {"repro/observer/reliable.py", "repro/server/daemon.py",
+            "repro/cli.py"} <= set(importers)
+    offenders = [path for path in importers
+                 if not any(path == owner or (owner.endswith("/")
+                                              and path.startswith(owner))
+                            for owner in SOCKET_OWNERS)]
+    assert offenders == []
