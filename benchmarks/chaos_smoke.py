@@ -1,11 +1,15 @@
 """Chaos smoke: crash the analysis mid-stream, demand verdict parity.
 
-Two faults, injected against a supervised ``repro.server`` daemon while a
-client streams a workload:
+Three faults, injected against a supervised ``repro.server`` daemon while
+a client streams a workload:
 
 * ``worker-kill``  — SIGKILL the session's analysis worker process half
   way through the stream.  The supervisor must restart it, replay the
   journal, and finish with the same verdict as an undisturbed run.
+* ``worker-hang``  — SIGSTOP the worker half way through instead.  The
+  process stays alive but goes silent: the supervisor must declare it
+  dead by heartbeat loss, kill it and restart it from the journal, which
+  by then runs ahead of everything the stopped worker analysed.
 * ``conn-drop``    — sever the client's TCP connection half way through.
   The client's :class:`~repro.server.ReconnectPolicy` must resume by
   token and resend the unacked window, again with verdict parity.
@@ -56,7 +60,10 @@ WORKLOADS = [
     ("bank", transfer_program, AUDIT_PROPERTY, ("a", "b", "audited")),
 ]
 
-FAULTS = ("worker-kill", "conn-drop")
+FAULTS = ("worker-kill", "worker-hang", "conn-drop")
+#: fault -> the signal it sends the session's worker
+WORKER_SIGNALS = {"worker-kill": signal.SIGKILL,
+                  "worker-hang": signal.SIGSTOP}
 FLEET_FAULTS = ("shard-kill", "conn-drop")
 
 
@@ -80,14 +87,15 @@ def control(factory, spec, variables, seed, backend="flat"):
     return execution, initial, expected, tuple(clocks)
 
 
-def kill_worker(server, session_id, deadline=10.0):
-    """SIGKILL the live analysis worker of a session; returns its pid."""
+def signal_worker(server, session_id, sig, deadline=10.0):
+    """Send ``sig`` to the live analysis worker of a session; returns its
+    pid."""
     end = time.monotonic() + deadline
     while time.monotonic() < end:
         sess = server._sessions.get(session_id)
         proc = getattr(sess, "_proc", None) if sess is not None else None
         if proc is not None and proc.pid is not None and proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
+            os.kill(proc.pid, sig)
             return proc.pid
         time.sleep(0.02)
     raise RuntimeError(f"no live worker for session {session_id}")
@@ -112,7 +120,8 @@ def run_case(name, factory, spec, variables, seed, fault, ckpt_dir,
         port=0, workers=2, supervised=True, checkpoint_dir=ckpt_dir,
         checkpoint_every=4, resume_timeout=10.0, drain_timeout=60.0)
     problems = []
-    with AnalysisServer(config) as srv:
+    records = []
+    with AnalysisServer(config, on_session_end=records.append) as srv:
         session = attach(
             srv.host, srv.port, n_threads=execution.n_threads,
             initial=initial, spec=spec, program=name,
@@ -120,14 +129,18 @@ def run_case(name, factory, spec, variables, seed, fault, ckpt_dir,
         half = max(1, len(execution.messages) // 2)
         for m in execution.messages[:half]:
             session.send(m)
-        if fault == "worker-kill":
-            kill_worker(srv, session.session_id)
+        if fault in WORKER_SIGNALS:
+            signal_worker(srv, session.session_id, WORKER_SIGNALS[fault])
         else:
             drop_connection(session)
         for m in execution.messages[half:]:
             session.send(m)
         verdict = session.close(timeout=60.0)
 
+    if fault in WORKER_SIGNALS and not any(
+            r.get("restarts", 0) >= 1 for r in records):
+        problems.append(f"{fault} injected but the session recorded no "
+                        "worker restart")
     if verdict.state != "finished":
         problems.append(f"state={verdict.state} error={verdict.error}")
     if verdict.analyzed != len(execution.messages):

@@ -133,10 +133,16 @@ class ShardSupervisor:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ShardSupervisor":
-        """Spawn every shard and start the health monitor."""
-        for index in range(self.config.shards):
-            self._handles[index] = self._spawn(index, generation=1,
-                                               recover=False)
+        """Spawn every shard and start the health monitor.  When a shard
+        fails to start, the ones already running are stopped before the
+        error propagates: they are not daemonic, so nothing else would."""
+        try:
+            for index in range(self.config.shards):
+                self._handles[index] = self._spawn(index, generation=1,
+                                                   recover=False)
+        except BaseException:
+            self.shutdown()
+            raise
         if _metrics.ENABLED:
             _G_ACTIVE_SHARDS.set(self.config.shards)
         self._monitor = threading.Thread(

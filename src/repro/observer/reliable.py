@@ -89,6 +89,11 @@ _C_RECV_CORRUPT = _metrics.REGISTRY.counter(
 #: client should fail with that reason, not with its own.
 SEND_WAIT_TIMEOUT = 60.0
 
+#: How long a failed socket write waits for the ack reader to finish.  A
+#: peer that drops the connection on purpose sends an ``err`` frame first,
+#: and that reason, not the local broken pipe, is the one to raise.
+_ERR_GRACE = 1.0
+
 
 class ReliableTransportError(RuntimeError):
     """Raised when the reliability contract cannot be met (receiver gone
@@ -370,6 +375,7 @@ class ReliableSender:
             with self._sock_lock:
                 self._sock.sendall(frame)
         except OSError as exc:
+            self._ack_thread.join(_ERR_GRACE)
             self._fail(f"socket send failed: {exc}")
 
     def _raise_if_failed(self) -> None:

@@ -340,8 +340,8 @@ def attach(
     ``reconnect`` (a :class:`ReconnectPolicy`, or ``True`` for the
     defaults) makes the session survive dropped connections by resuming
     with the server-issued token; it only helps against servers running
-    with ``resume_timeout > 0``, which also emit the ``ckpt`` frames that
-    bound the client-side resend buffer.
+    with ``resume_timeout > 0``.  Those, and supervised servers, emit the
+    ``ckpt`` frames that bound the client-side resend buffer.
     """
     if reconnect is True:
         reconnect = ReconnectPolicy()

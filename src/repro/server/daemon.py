@@ -35,6 +35,7 @@ two-process pipeline.  The moving parts:
 
 from __future__ import annotations
 
+import dataclasses
 import errno as _errno
 import hmac
 import json
@@ -50,8 +51,6 @@ from typing import Callable, Optional
 from .. import __version__ as _repro_version
 from ..obs import metrics as _metrics
 from ..observer.reliable import FrameDecoder, ReliableTransportError, _frame
-from ..observer.trace import TraceFormatError
-from ..store.format import read_trace_prefix
 from .protocol import Hello, ProtocolError, encode_frame
 from .recovery import SessionJournal, scan_journals
 from .session import Session, SessionState
@@ -315,13 +314,6 @@ class AnalysisServer:
                 spec=meta.spec, fault_tolerant=meta.fault_tolerant,
                 engines=meta.engines)
             try:
-                durable = 0
-                if journal.events_path.exists():
-                    durable = len(read_trace_prefix(
-                        journal.events_path).messages)
-            except (TraceFormatError, OSError):
-                durable = 0
-            try:
                 session = SupervisedSession(
                     meta.session, hello, journal, supervisor=sup,
                     max_queued=self.config.max_queued_events,
@@ -332,7 +324,6 @@ class AnalysisServer:
                 continue
             session.token = meta.token
             session.epoch = meta.epoch
-            session.restore_progress(durable)
             with self._lock:
                 self._sessions[meta.session] = session
                 self._next_sid = max(self._next_sid, meta.session + 1)
@@ -636,7 +627,9 @@ class AnalysisServer:
                 session.journal.bump_epoch(epoch)
             except OSError:
                 pass   # a stale persisted epoch is tolerated on re-recover
-        delivered = session.delivered_for_resume()
+        # every accepted message is in the session's queue, observer or
+        # journal, so the client resends from the received count
+        delivered = session.received
         if _metrics.ENABLED:
             _C_RESUMED.inc()
         conn.sendall(encode_frame({
@@ -681,11 +674,12 @@ class AnalysisServer:
 
     def _admit(self, conn: socket.socket, hello: Hello,
                peer: str) -> Optional[Session]:
+        hello = dataclasses.replace(
+            hello, engines=hello.engines or self.config.default_engines)
         if self.config.strict_specs:
             from ..staticcheck.speccheck import strict_reject_reason
 
-            bad = strict_reject_reason(
-                hello.spec, hello.engines or self.config.default_engines)
+            bad = strict_reject_reason(hello.spec, hello.engines)
             if bad is not None:
                 if _metrics.ENABLED:
                     _C_SPEC_REJECTED.inc()
@@ -745,19 +739,17 @@ class AnalysisServer:
         if not self.config.supervised:
             return Session(sid, hello,
                            max_queued=self.config.max_queued_events,
-                           peer=peer,
-                           default_engines=self.config.default_engines)
+                           peer=peer)
         journal = SessionJournal.create(
             self.config.checkpoint_dir, session=sid, token=token,
             program=hello.program, n_threads=hello.n_threads,
             initial=hello.initial, spec=hello.spec,
             fault_tolerant=hello.fault_tolerant,
-            engines=hello.engines or self.config.default_engines)
+            engines=hello.engines)
         try:
             return SupervisedSession(
                 sid, hello, journal, supervisor=self.config.supervisor_config(),
-                max_queued=self.config.max_queued_events, peer=peer,
-                default_engines=self.config.default_engines)
+                max_queued=self.config.max_queued_events, peer=peer)
         except Exception:
             journal.delete()
             raise
@@ -776,7 +768,7 @@ class AnalysisServer:
         for the client's resume to replay, and fails any other.
         """
         meter = getattr(session, "meter", None)
-        resumable = self.config.resume_timeout > 0 and not session.supervised
+        ckpt_frames = session.supervised or self.config.resume_timeout > 0
 
         def ingest(msg) -> None:
             if not session.enqueue(msg, self.config.overload_timeout):
@@ -790,11 +782,13 @@ class AnalysisServer:
                 _C_INGESTED.inc()
                 if meter is not None:
                     meter.inc()
-            if (resumable
+            if (ckpt_frames
                     and session.received % self.config.checkpoint_every == 0):
-                # in-process sessions hold everything in memory, so for
-                # connection-drop resumes "accepted" is as durable as it
-                # gets: let the client prune its resend buffer
+                # a supervised session's enqueue has just fsynced its
+                # journal through this count; an in-process one holds
+                # everything in memory, so for connection-drop resumes
+                # "accepted" is as durable as it gets.  Either way the
+                # client may prune its resend buffer.
                 session.send_frame({"t": "ckpt", "n": session.received})
             self._schedule(session)
 

@@ -6,29 +6,30 @@ journal directory::
     <checkpoint_dir>/session-<token>/
         meta.json     session identity: id, token, epoch, program,
                       n_threads, initial store, spec, fault tolerance
-        events.rpt    v2 trace (repro.store.format) of the delivered
-                      prefix, checkpointed incrementally
+        events.rpt    v2 trace (repro.store.format) of the accepted
+                      messages, checkpointed incrementally
 
-The journal is written *behind* the analysis (an event is journaled only
-after the observer accepted it), so on recovery the journaled prefix is
-exactly a replayable prefix of the analysis: because the whole pipeline is
-a deterministic function of the message sequence, feeding the prefix back
-through :meth:`~repro.observer.observer.Observer.rebuild` reconstructs
-byte-identical analyzer state, and the session resumes from the next
-delivery index with verdict parity guaranteed.
+The daemon journals every accepted message *ahead* of the analysis and
+is the journal's only writer; the supervised worker
+(:mod:`repro.server.supervisor`) only reads it.  Because the whole
+pipeline is a deterministic function of the message sequence, feeding a
+journaled prefix back through
+:meth:`~repro.observer.observer.Observer.rebuild` reconstructs
+byte-identical analyzer state: a restarted worker replays the journal
+and takes the rest from its inbox, with verdict parity guaranteed.
 
 Crash windows are handled at two granularities:
 
-* a torn tail inside ``events.rpt`` (writer killed mid-frame) is dropped
+* a torn tail inside ``events.rpt`` (daemon killed mid-frame) is dropped
   by :func:`repro.store.read_trace_prefix`'s whole-frame atomicity — the
-  journal silently rolls back to the last durable checkpoint, and the
-  supervisor refeeds everything past it from the retained parent buffer;
+  journal rolls back to its last durable checkpoint, and the resuming
+  client resends everything past it from its own resume buffer;
 * a missing/corrupt ``meta.json`` makes the whole journal unrecoverable —
   :func:`scan_journals` reports it as skipped rather than crashing daemon
   recovery.
 
-The journal uses the trace-archive file format on purpose: a finished
-session *seals* its journal with the catalog footer extras and the daemon
+The journal uses the trace-archive file format on purpose: when a session
+finishes, the daemon *seals* its journal with the catalog footer extras and
 promotes the file into the archive with ``TraceArchive.adopt_sealed`` —
 no rewrite, no second copy of the trace.
 """
@@ -44,7 +45,6 @@ from typing import Any, Mapping, Optional, Sequence
 
 from ..core.events import Message
 from ..logic.monitor import Monitor
-from ..obs import metrics as _metrics
 from ..observer.observer import Observer
 from ..observer.trace import TraceFormatError
 from ..store.format import SegmentWriter, read_trace_prefix
@@ -55,12 +55,6 @@ __all__ = ["JournalError", "SessionJournal", "scan_journals",
 META_NAME = "meta.json"
 EVENTS_NAME = "events.rpt"
 META_VERSION = 1
-
-_C_REPLAYED = _metrics.REGISTRY.counter(
-    "server.recovery_replayed_events", unit="messages",
-    help="journaled events replayed into rebuilt observers after a worker "
-         "or daemon restart")
-
 
 class JournalError(RuntimeError):
     """A session journal is missing, malformed, or unrecoverable."""
@@ -135,20 +129,18 @@ class JournalMeta:
 class SessionJournal:
     """One session's durable checkpoint directory.
 
-    The parent (daemon) side *creates* journals and reads their metadata;
-    the worker side *opens* them for writing via :meth:`recover_and_open`,
-    which atomically rolls a possibly-torn ``events.rpt`` back to its last
-    durable prefix and returns the recovered messages for observer
-    rebuild.
+    The daemon *creates* journals and opens them for appending via
+    :meth:`recover_and_open`, which atomically rolls a possibly-torn
+    ``events.rpt`` back to its last durable prefix; the worker only reads
+    a prefix back (:meth:`read_prefix`) to rebuild its observer.
     """
 
     def __init__(self, directory: Path, meta: JournalMeta):
         self.dir = Path(directory)
         self.meta = meta
         self._writer: Optional[SegmentWriter] = None
-        self._since_checkpoint = 0
 
-    # -- parent side ----------------------------------------------------------
+    # -- daemon side ----------------------------------------------------------
 
     @classmethod
     def create(cls, root: str | Path, *, session: int, token: str,
@@ -196,16 +188,13 @@ class SessionJournal:
         w = self._writer
         return w.count if w is not None else 0
 
-    # -- worker side ----------------------------------------------------------
-
     def recover_and_open(self) -> list[Message]:
-        """Open the journal for writing, first salvaging any prior prefix.
+        """Open the journal for appending, first salvaging any prior prefix.
 
         Reads the durable prefix of ``events.rpt`` (tolerating a torn
         tail), rewrites it into a fresh file, atomically replaces the old
         one, and keeps the writer open positioned after the prefix.
-        Returns the recovered messages, in delivery order, for
-        :meth:`Observer.rebuild`.
+        Returns the recovered messages, in delivery order.
         """
         if self._writer is not None:
             raise RuntimeError("journal already open")
@@ -217,7 +206,7 @@ class SessionJournal:
                 recovered = list(prefix.messages)
             except TraceFormatError:
                 # even the header is gone: the journal starts over and the
-                # supervisor refeeds the whole retained window
+                # resuming client resends the whole stream
                 recovered = []
         new_path = self.dir / (EVENTS_NAME + ".new")
         writer = SegmentWriter(
@@ -233,30 +222,22 @@ class SessionJournal:
             raise
         writer.path = path          # the open handle now lives under events.rpt
         self._writer = writer
-        self._since_checkpoint = 0
-        if recovered and _metrics.ENABLED:
-            _C_REPLAYED.inc(len(recovered))
         return recovered
 
-    def write(self, msg: Message) -> None:
+    def write(self, msg: Message) -> str:
+        """Append ``msg``; returns its JSON encoding, for reuse."""
         if self._writer is None:
             raise RuntimeError("journal is not open")
-        self._writer.write(msg)
-        self._since_checkpoint += 1
-
-    def maybe_checkpoint(self, every: int) -> Optional[int]:
-        """Checkpoint when ``every`` events accumulated since the last one.
-        Returns the durable event count when a checkpoint happened."""
-        if self._since_checkpoint < max(1, every):
-            return None
-        return self.checkpoint()
+        text = msg.to_json()
+        self._writer.write_json(text)
+        return text
 
     def checkpoint(self, fsync: bool = True) -> int:
+        """Flush (and by default fsync) everything written; returns the
+        journaled event count."""
         if self._writer is None:
             raise RuntimeError("journal is not open")
-        count = self._writer.checkpoint(fsync=fsync)
-        self._since_checkpoint = 0
-        return count
+        return self._writer.checkpoint(fsync=fsync)
 
     def seal(self, extra: Optional[Mapping[str, Any]] = None) -> Path:
         """Close the trace with its footer (and catalog ``extra``), making
@@ -292,6 +273,20 @@ class SessionJournal:
             self.dir.rmdir()
         except OSError:
             pass
+
+    # -- worker side ----------------------------------------------------------
+
+    def read_prefix(self, n: int) -> list[Message]:
+        """The first ``n`` journaled messages, read without opening the
+        journal for writing.  The writer must have flushed them."""
+        if n == 0:
+            return []
+        messages = read_trace_prefix(self.events_path).messages
+        if len(messages) < n:
+            raise JournalError(
+                f"{self.events_path} holds {len(messages)} readable "
+                f"messages, fewer than the {n} to replay")
+        return messages[:n]
 
 
 def scan_journals(root: str | Path) -> tuple[list[SessionJournal],

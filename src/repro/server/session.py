@@ -33,7 +33,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..engines.base import StreamVerdict
 from ..logic.monitor import Monitor
@@ -75,8 +75,7 @@ class Session:
     """
 
     def __init__(self, session_id: int, hello: Hello, max_queued: int = 1024,
-                 peer: str = "",
-                 default_engines: Sequence[str] = ()):
+                 peer: str = ""):
         if max_queued < 1:
             raise ValueError("max_queued must be >= 1")
         self.id = session_id
@@ -86,10 +85,9 @@ class Session:
         self.n_threads = hello.n_threads
         self.initial = dict(hello.initial)
         self._monitor = Monitor(hello.spec) if hello.spec else None
-        # engine selection: the client's hello wins, then the server's
-        # configured default pipeline, then the classic spec→LTL observer
-        self.engines_requested: tuple[str, ...] = (
-            hello.engines or tuple(default_engines))
+        # engine selection: the hello's (the daemon filled in its default
+        # at admission), else the classic spec→LTL observer
+        self.engines_requested: tuple[str, ...] = tuple(hello.engines)
         self.observer = Observer(
             hello.n_threads,
             hello.initial,
@@ -204,13 +202,6 @@ class Session:
             except OSError:
                 pass
         return epoch
-
-    def delivered_for_resume(self) -> int:
-        """How many ``msg`` frames a resuming client may skip.
-
-        For an in-process session every accepted event lives in our queue
-        or observer, so the received count is safe to re-ack from."""
-        return self.received
 
     def fail(self, reason: str) -> bool:
         """Move to FAILED (idempotent; terminal states win).  Returns

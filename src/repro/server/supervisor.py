@@ -2,31 +2,31 @@
 
 With ``ServerConfig(supervised=True)`` each admitted session runs its
 ``Observer → CausalDelivery → engines`` pipeline inside a spawned
-worker process instead of on the daemon's thread pool.  The parent keeps
-a *retained buffer* of every event since the last durable checkpoint, so
-a crashed worker (segfault, OOM kill, SIGKILL) is detected by heartbeat
-loss, restarted with exponential backoff, rebuilt from its journaled
-prefix (:mod:`repro.server.recovery`) and refed the missing tail —
-verdict parity with an uninterrupted run falls out of analysis
-determinism.  A worker that keeps dying exhausts its restart budget and
-the session fails with a reasoned ``err`` frame; the client never hangs.
+worker process instead of on the daemon's thread pool.  The daemon
+journals every accepted message *ahead* of the analysis
+(:mod:`repro.server.recovery`), so the journal is the one copy of the
+stream it keeps.  A crashed worker (segfault, OOM kill, SIGKILL, or one
+silent past the heartbeat timeout) is killed, restarted with
+exponential backoff and rebuilt from the journal — verdict parity with
+an uninterrupted run falls out of analysis determinism.  A worker that
+keeps dying exhausts its restart budget and the session fails with a
+reasoned ``err`` frame; the client never hangs.
 
-Delivery discipline between parent and worker::
+Delivery discipline between daemon and worker::
 
-    parent ──("msg", index, json)──▶ inbox ──▶ worker
-    parent ◀──("hb"|"recovered"|"ckpt"|"result"|"fatal")── outbox
+    reader ──▶ journal append ──▶ inbox ──(json | None)──▶ worker
+    daemon ◀──("hb"|"result"|"fatal")── outbox
 
-* every event carries its 0-based delivery ``index``; the end-of-stream
-  fin rides the same channel as ``("msg", index, None)``, so it survives
-  restarts by living in the retained buffer like any other item;
-* the worker processes an item iff ``index == analyzed`` and silently
-  drops everything else — refeeding the whole retained window after a
-  restart (or racing a refeed with a live enqueue) is therefore
-  idempotent and order-safe;
-* the worker journals an event only *after* the observer accepted it and
-  reports ``("ckpt", n)`` when the journal fsyncs, which is when the
-  parent prunes its retained buffer below ``n`` and forwards a ``ckpt``
-  frame so the client can prune its resume buffer too.
+* the journal append and the choice of inbox happen under the session
+  lock, and so does a (re)start's switch to a fresh inbox: a worker
+  started when the journal holds ``n`` messages replays exactly
+  ``[0, n)`` from the journal and receives exactly ``[n, …)`` through
+  its inbox;
+* the end-of-stream fin (``None``) is not journaled: it goes to the
+  current inbox, and a restart after it puts a fresh fin in the new one;
+* the worker only analyses.  The daemon fsyncs the journal every
+  ``checkpoint_every`` messages (the reader then sends the client its
+  ``ckpt`` frame) and seals it with the worker's verdict at the end.
 
 Workers use the ``spawn`` start method on purpose: the daemon is heavily
 threaded and a forked child would inherit locks mid-flight.
@@ -38,9 +38,8 @@ import multiprocessing
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..core.events import Message
 from ..engines.base import StreamVerdict
@@ -53,6 +52,9 @@ __all__ = ["SupervisorConfig", "SupervisedSession"]
 
 _MP = multiprocessing.get_context("spawn")
 
+#: Most inbox items one worker turn hands to ``Observer.receive_batch``.
+_WORKER_BATCH = 64
+
 _C_CRASHES = _metrics.REGISTRY.counter(
     "server.worker_crashes", unit="crashes",
     help="supervised session workers lost to process death or heartbeat "
@@ -62,11 +64,12 @@ _C_RESTARTS = _metrics.REGISTRY.counter(
     help="supervised session workers restarted within their budget")
 _C_CHECKPOINTS = _metrics.REGISTRY.counter(
     "server.checkpoints", unit="checkpoints",
-    help="durable session checkpoints acknowledged by workers")
+    help="session journal fsyncs, each announced to the client by a "
+         "ckpt frame")
 _C_REPLAYED = _metrics.REGISTRY.counter(
-    "server.worker_recovered_events", unit="messages",
-    help="journaled events workers replayed after a (re)start, as "
-         "reported to the supervisor")
+    "server.recovery_replayed_events", unit="messages",
+    help="journaled events replayed into rebuilt observers after a worker "
+         "or daemon restart")
 
 
 @dataclass(frozen=True)
@@ -106,20 +109,19 @@ class SupervisorConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-def _worker_main(journal_dir: str, inbox, outbox, checkpoint_every: int,
+def _worker_main(journal_dir: str, replay: int, inbox, outbox,
                  hb_interval: float) -> None:
-    """Worker-process entry point: recover the journal, rebuild the
-    observer, then analyze the inbox until fin.
+    """Worker-process entry point: rebuild the observer from the first
+    ``replay`` journaled messages, then analyze the inbox until fin.
 
-    Runs in a fresh ``spawn`` child; everything it needs arrives through
-    the journal directory and the two queues.  Analysis exceptions are
-    deterministic (same input → same crash), so they are reported as
-    ``fatal`` — restarting would only loop.
+    Runs in a fresh ``spawn`` child and never writes the journal.
+    Analysis exceptions are deterministic (same input → same crash), so
+    they are reported as ``fatal`` — restarting would only loop.
     """
     journal = SessionJournal.open_dir(journal_dir)
     meta = journal.meta
     observer = build_observer(meta)
-    recovered = journal.recover_and_open()
+    recovered = journal.read_prefix(replay)
     observer.rebuild(recovered)
     clocks: list[list[int]] = [[0] * meta.n_threads
                                for _ in range(meta.n_threads)]
@@ -137,147 +139,134 @@ def _worker_main(journal_dir: str, inbox, outbox, checkpoint_every: int,
                 return
 
     threading.Thread(target=hb_loop, daemon=True).start()
-    outbox.put(("recovered", stats["analyzed"]))
-
     parent = multiprocessing.parent_process()
     try:
         while True:
             try:
-                item = inbox.get(timeout=0.5)
+                batch = [inbox.get(timeout=0.5)]
             except queue.Empty:
                 if parent is not None and not parent.is_alive():
                     return
                 continue
-            kind = item[0]
-            if kind == "stop":
-                return
-            if kind != "msg":
-                continue
-            _, index, text = item
-            if index != stats["analyzed"]:
-                # duplicate (refeed below our recovery point) or an
-                # out-of-order early copy the refeed will resend in place
-                continue
-            if text is None:                       # fin sentinel
+            while batch[-1] is not None and len(batch) < _WORKER_BATCH:
                 try:
+                    batch.append(inbox.get_nowait())
+                except queue.Empty:
+                    break
+            fin = batch[-1] is None
+            msgs = [Message.from_json(text) for text in batch if text]
+            try:
+                if msgs:
+                    observer.receive_batch(msgs)
+                if fin:
                     observer.finish()
-                except Exception as exc:  # noqa: BLE001
-                    outbox.put(("fatal", f"analysis error: {exc}"))
-                    return
+            except Exception as exc:  # noqa: BLE001
+                outbox.put(("fatal", f"analysis error: {exc}"))
+                return
+            for m in msgs:
+                clocks[m.thread] = list(m.clock)
+            stats["violations"] = observer.finding_count()
+            stats["analyzed"] += len(msgs)
+            if fin:
                 verdict = observer.verdict()
-                wall = max(0.0, time.time() - meta.created_at)
-                journal.seal(extra=catalog_footer(
-                    meta.program, meta.spec, meta.n_threads, verdict,
-                    clocks, wall))
                 outbox.put(("result", {
                     "analyzed": stats["analyzed"],
-                    "final_clocks": [list(c) for c in clocks],
+                    "final_clocks": clocks,
                     "engines": verdict.engines,
                     "sound": verdict.sound,
                 }))
                 return
-            msg = Message.from_json(text)
-            try:
-                observer.receive(msg)
-            except Exception as exc:  # noqa: BLE001
-                outbox.put(("fatal", f"analysis error: {exc}"))
-                return
-            journal.write(msg)
-            stats["violations"] = observer.finding_count()
-            stats["analyzed"] += 1
-            clocks[msg.thread] = list(msg.clock)
-            n = journal.maybe_checkpoint(checkpoint_every)
-            if n is not None:
-                outbox.put(("ckpt", n))
     finally:
         stop.set()
-        journal.close()
 
 
 class SupervisedSession(Session):
     """A session whose analysis runs in a supervised worker process.
 
-    The parent side keeps: the journal handle (created by the daemon at
-    admission), the retained ``(index, json-or-None)`` buffer since the
-    last durable checkpoint, and the latest worker-reported progress.
-    The base class still provides lifecycle, attachment and archive
-    plumbing; queue-and-worker-pool machinery is bypassed
-    (:meth:`has_pending`/:meth:`process_batch` report nothing to do).
+    The daemon side owns the session's journal (created at admission, or
+    found by ``--recover``) and is its only writer; it keeps no other
+    copy of the stream.  The base class still provides lifecycle,
+    attachment and archive plumbing; queue-and-worker-pool machinery is
+    bypassed (:meth:`has_pending`/:meth:`process_batch` report nothing to
+    do).
     """
 
     def __init__(self, session_id: int, hello, journal: SessionJournal,
                  supervisor: Optional[SupervisorConfig] = None,
-                 max_queued: int = 1024, peer: str = "",
-                 default_engines: Sequence[str] = ()):
-        super().__init__(session_id, hello, max_queued=max_queued, peer=peer,
-                         default_engines=default_engines)
+                 max_queued: int = 1024, peer: str = ""):
+        super().__init__(session_id, hello, max_queued=max_queued, peer=peer)
         # the base constructor validated the spec against the initial
         # store by building an observer; the analysis lives in the worker,
         # so drop the parent copy rather than keep a dead lattice around
         self.observer = None  # type: ignore[assignment]
         self.supervised = True
         self.journal = journal
+        # reopen for appending, rolling a torn tail back to its durable
+        # prefix: a recovered session's client resumes from that count
+        self.received = len(journal.recover_and_open())
         self.sup = supervisor or SupervisorConfig()
         self._archive = None
-        self._retained: deque[tuple[int, Optional[str]]] = deque()
-        self._next_index = 0
-        self._durable = 0
         self.restarts = 0
-        self._fin_sent = False
         self._closing = False
         self._proc = None
         self._inbox = None
-        self._outbox = None
-        # serializes writers into the current inbox so a restart's refeed
-        # cannot interleave with a live enqueue (order = index order)
+        # serializes writers into the inbox, so its order is journal order
         self._submit_lock = threading.Lock()
 
     # -- worker lifecycle -----------------------------------------------------
 
     def start_worker(self) -> None:
-        """Spawn the first worker (daemon calls this right after admit or
-        recovery; also reused for every restart)."""
-        self._spawn()
-
-    def _spawn(self) -> None:
+        """Spawn a worker on the journal written so far: the daemon calls
+        this right after admission or recovery, the supervisor after each
+        crash."""
         inbox = _MP.Queue(maxsize=self._max_queued)
+        # the journal holds everything in the inbox, so the daemon never
+        # waits at exit to flush it into a pipe a dead worker left full
+        inbox.cancel_join_thread()
         outbox = _MP.Queue()
+        with self._cond:
+            if self._state.terminal:
+                return
+            # flushed, not fsynced: the worker reads it through the page
+            # cache, and durability is the checkpoint cadence's job
+            replay = self.journal.checkpoint(fsync=False)
+            self._inbox = inbox
+            if self._state is SessionState.DRAINING:
+                inbox.put(None)
         proc = _MP.Process(
             target=_worker_main,
-            args=(str(self.journal.dir), inbox, outbox,
-                  self.sup.checkpoint_every, self.sup.heartbeat_interval),
+            args=(str(self.journal.dir), replay, inbox, outbox,
+                  self.sup.heartbeat_interval),
             daemon=True)
         proc.start()
         with self._cond:
-            self._inbox, self._outbox, self._proc = inbox, outbox, proc
+            self._proc = proc
+            closing = self._closing
+        if closing:      # torn down while we were starting it
+            self._kill(proc)
+            return
+        if replay and _metrics.ENABLED:
+            _C_REPLAYED.inc(replay)
         threading.Thread(target=self._monitor_loop, args=(proc, outbox),
                          daemon=True).start()
-        # refeed everything not yet durable — the worker drops items below
-        # its recovery point, so over-delivery is harmless
-        with self._submit_lock:
-            with self._cond:
-                snapshot = list(self._retained)
-            for item in snapshot:
-                if not self._put_current(inbox, ("msg", item[0], item[1])):
-                    break
 
-    def _put_current(self, inbox, item, deadline: Optional[float] = None
-                     ) -> bool:
-        """Put into ``inbox`` unless it stops being the current inbox (a
-        restart superseded it — the refeed owns delivery then) or the
-        session ends.  Returns False only on supersession/termination/
-        deadline."""
+    def _put(self, inbox, item, timeout: float) -> bool:
+        """Put ``item`` into ``inbox``.  True once it is in, or once a
+        restart has replaced the inbox (the new worker replays journaled
+        messages, and gets a fin of its own).  False when the session
+        ended or the inbox stayed full past ``timeout``."""
+        deadline = time.monotonic() + timeout
         while True:
             with self._cond:
                 if self._state.terminal:
                     return False
                 if self._inbox is not inbox:
-                    return False
+                    return True
             try:
                 inbox.put(item, timeout=0.2)
                 return True
             except queue.Full:
-                if deadline is not None and time.monotonic() >= deadline:
+                if time.monotonic() >= deadline:
                     return False
 
     def _monitor_loop(self, proc, outbox) -> None:
@@ -311,14 +300,6 @@ class SupervisedSession(Session):
             if kind == "hb":
                 self.analyzed = max(self.analyzed, item[1])
                 self.live_violations = item[2]
-            elif kind == "recovered":
-                self._on_durable(item[1], frame=False)
-                if _metrics.ENABLED and item[1]:
-                    _C_REPLAYED.inc(item[1])
-            elif kind == "ckpt":
-                self._on_durable(item[1], frame=True)
-                if _metrics.ENABLED:
-                    _C_CHECKPOINTS.inc()
             elif kind == "fatal":
                 if self.fail(item[1]):
                     self.send_frame({"t": "err", "reason": item[1]})
@@ -326,15 +307,6 @@ class SupervisedSession(Session):
             elif kind == "result":
                 self._on_result(item[1], proc)
                 return
-
-    def _on_durable(self, n: int, frame: bool) -> None:
-        with self._cond:
-            self._durable = max(self._durable, n)
-            self.analyzed = max(self.analyzed, n)
-            while self._retained and self._retained[0][0] < self._durable:
-                self._retained.popleft()
-        if frame:
-            self.send_frame({"t": "ckpt", "n": n})
 
     def _handle_crash(self, proc, reason: str) -> None:
         if _metrics.ENABLED:
@@ -356,7 +328,7 @@ class SupervisedSession(Session):
                 return
         if _metrics.ENABLED:
             _C_RESTARTS.inc()
-        self._spawn()
+        self.start_worker()
 
     @staticmethod
     def _kill(proc) -> None:
@@ -374,10 +346,14 @@ class SupervisedSession(Session):
                                          result["sound"])
             self.analyzed = result["analyzed"]
             self.final_clocks = [tuple(c) for c in result["final_clocks"]]
-        archive = self._archive
-        if archive is not None:
+        if self._archive is not None:
+            meta = self.journal.meta
             try:
-                entry = archive.adopt_sealed(self.journal.events_path)
+                self.journal.seal(extra=catalog_footer(
+                    meta.program, meta.spec, meta.n_threads, self.verdict,
+                    self.final_clocks,
+                    max(0.0, time.time() - meta.created_at)))
+                entry = self._archive.adopt_sealed(self.journal.events_path)
                 self.archive_id = entry.id
             except Exception:  # noqa: BLE001 - archive loss ≠ analysis loss
                 self.archive_id = None
@@ -386,78 +362,45 @@ class SupervisedSession(Session):
         self.journal.delete()
         with self._cond:
             if not self._state.terminal:
-                self._retained.clear()
                 self._enter_terminal(SessionState.FINISHED)
         self._kill(proc)
-
-    def restore_progress(self, durable: int) -> None:
-        """Daemon-restart recovery: align parent counters with the
-        journal's durable prefix, so client sequence numbers (absolute,
-        0-based) line up with worker delivery indices after the resume."""
-        with self._cond:
-            self.received = durable
-            self._next_index = durable
-            self._durable = durable
-            self.analyzed = durable
 
     # -- overridden session surface -------------------------------------------
 
     def attach_archive(self, archive) -> None:
-        # the worker's sealed journal is adopted wholesale at finish; no
-        # parent-side PendingTrace double-writes the stream
+        # the sealed journal is adopted wholesale at finish; no parent-side
+        # PendingTrace double-writes the stream
         self._archive = archive
         self.archive_id = None
 
     def enqueue(self, msg: Any, timeout: float) -> bool:
-        text = msg.to_json()
-        with self._cond:
-            if self._state is not SessionState.STREAMING:
-                return False
-            index = self._next_index
-            self._next_index += 1
-            self._retained.append((index, text))
-            self.received += 1
-            backlog = self.received - self._durable
-            if backlog > self.queue_high_water:
-                self.queue_high_water = backlog
-            inbox = self._inbox
-        if inbox is None:        # worker not spawned yet: refeed delivers
-            return True
         with self._submit_lock:
-            ok = self._put_current(inbox, ("msg", index, text),
-                                   deadline=time.monotonic() + timeout)
-        if ok:
-            return True
-        with self._cond:
-            if self._state.terminal:
-                return False
-            if self._inbox is not inbox:
-                # a restart superseded the inbox mid-put; the refeed owns
-                # delivery of the retained buffer (this item included)
-                return True
-        # the worker is alive but its queue stayed full past the timeout:
-        # that is genuine overload, let the daemon declare it
-        return False
+            with self._cond:
+                if self._state is not SessionState.STREAMING:
+                    return False
+                text = self.journal.write(msg)
+                self.received += 1
+                if self.received % self.sup.checkpoint_every == 0:
+                    self.journal.checkpoint()
+                    if _metrics.ENABLED:
+                        _C_CHECKPOINTS.inc()
+                self.queue_high_water = max(self.queue_high_water,
+                                            self.pending)
+                inbox = self._inbox
+            # no inbox yet: the first worker replays this from the journal
+            return inbox is None or self._put(inbox, text, timeout)
 
     def begin_drain(self) -> None:
-        with self._cond:
-            if self._state is not SessionState.STREAMING:
-                return
-            self._state = SessionState.DRAINING
-            index = self._next_index
-            self._next_index += 1
-            self._retained.append((index, None))
-            self._fin_sent = True
-            inbox = self._inbox
-            self._cond.notify_all()
-        if inbox is None:
-            return
         with self._submit_lock:
-            # bounded wait: if the fin cannot be delivered the session's
-            # drain timeout turns it into a reasoned failure, never a hang
-            # (a later restart refeeds the fin from the retained buffer)
-            self._put_current(inbox, ("msg", index, None),
-                              deadline=time.monotonic() + 5.0)
+            with self._cond:
+                if self._state is not SessionState.STREAMING:
+                    return
+                self._state = SessionState.DRAINING
+                inbox = self._inbox
+            if inbox is not None:
+                # bounded wait: if the fin cannot be delivered the
+                # session's drain timeout turns it into a reasoned failure
+                self._put(inbox, None, 5.0)
 
     def fail(self, reason: str) -> bool:
         did = super().fail(reason)
@@ -477,11 +420,6 @@ class SupervisedSession(Session):
             proc = self._proc
         if proc is not None:
             self._kill(proc)
-
-    def delivered_for_resume(self) -> int:
-        # everything acked is either journaled or in the retained buffer,
-        # so the client never needs to resend below `received`
-        return self.received
 
     def has_pending(self) -> bool:
         return False

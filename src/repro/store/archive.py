@@ -93,8 +93,8 @@ def catalog_footer(program: str, spec: Optional[str], n_threads: int,
     """The verdict a sealed trace embeds in its footer, so a lost catalog
     can be rebuilt from the trace files alone.  It is the catalog entry
     minus what the file itself gives back (id, event count, size, path,
-    format).  In-process commits and supervised workers both seal with
-    it; the first engine is the primary one the catalog names."""
+    format).  In-process commits and supervised sessions' journals both
+    seal with it; the first engine is the primary one the catalog names."""
     engines = verdict.engines
     primary = engines[0] if engines else None
     return {
@@ -385,9 +385,9 @@ class TraceArchive:
         its catalog entry from the verdict embedded in its footer.
 
         This is how the crash-resilient server promotes a finished
-        session's durable journal: the worker seals the journal file
-        (footer + catalog extras) in its own process, then the daemon
-        adopts it here.  Raises :class:`TraceFormatError` if the file is
+        session's durable journal: the daemon seals the journal file
+        (footer + catalog extras) with the worker's verdict, then adopts
+        it here.  Raises :class:`TraceFormatError` if the file is
         unsealed, :class:`~repro.store.catalog.CatalogError` if its footer
         carries no catalog extras.
         """

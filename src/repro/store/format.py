@@ -160,10 +160,14 @@ class SegmentWriter:
     # -- sink interface -------------------------------------------------------
 
     def write(self, msg: Message) -> None:
+        self.write_json(msg.to_json())
+
+    def write_json(self, line: str) -> None:
+        """Append one message already encoded by :meth:`Message.to_json`."""
         if self._fh is None:
             raise RuntimeError("segment writer is closed")
         try:
-            self._buffer.append(msg.to_json())
+            self._buffer.append(line)
             self.count += 1
             if len(self._buffer) >= self._per_segment:
                 self._flush_segment()

@@ -150,3 +150,32 @@ class TestSpillAndSaturation:
                 reply = read_frame_line(sock)
         assert reply["t"] == "reject"
         assert reply["why"] == "resume"
+
+
+class TestStartup:
+    def test_failed_start_stops_the_shards_already_running(self,
+                                                           monkeypatch):
+        from repro.fleet.shards import ShardSupervisor
+
+        spawn = ShardSupervisor._spawn
+        started = []
+
+        def slot_one_fails(self, index, generation, recover):
+            if index == 1:
+                raise RuntimeError("shard 1 failed to start: injected")
+            handle = spawn(self, index, generation, recover)
+            started.append(handle)
+            return handle
+
+        monkeypatch.setattr(ShardSupervisor, "_spawn", slot_one_fails)
+        fleet = AnalysisFleet(FleetConfig(shards=2, workers=1))
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                fleet.start()
+            [slot0] = started
+            assert not slot0.proc.is_alive()
+        finally:
+            for handle in started:
+                if handle.proc.is_alive():
+                    handle.proc.kill()
+                    handle.proc.join(timeout=5.0)

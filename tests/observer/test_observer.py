@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -24,6 +25,8 @@ from repro.workloads import (
     XYZ_VARS,
     random_program,
 )
+
+from ..conftest import sealed_record
 
 
 def make_observer(execution, variables, spec=None, causal_log=False):
@@ -231,6 +234,38 @@ class TestSocketRobustness:
         [record] = records
         assert record["state"] == "failed"
         assert "corrupt frame: not a JSON object" in record["error"]
+
+    def test_client_raises_the_daemons_reason(self, xyz_execution):
+        """The daemon drops the connection on the garbage line while the
+        client is still writing: the client's error names the daemon's
+        reason, not the broken pipe its own next write runs into.  The
+        client's ack reader is made slow to apply the daemon's ``err``
+        (as on a starved machine), so the failed write comes first."""
+        from repro.observer.reliable import ReliableTransportError
+
+        for _ in range(3):
+            records = []
+
+            def tamper(sender):
+                transmit, fail = sender._transmit, sender._fail
+
+                def first(frame):
+                    sender._transmit = transmit
+                    transmit(b"{not json\n")
+                    sealed_record(records)   # the daemon has hung up
+                    transmit(frame)
+
+                def slow_reader(reason, override=False):
+                    if reason.startswith("peer error"):
+                        time.sleep(0.2)
+                    fail(reason, override)
+
+                sender._transmit = first
+                sender._fail = slow_reader
+
+            with pytest.raises(ReliableTransportError,
+                               match="corrupt frame: not a JSON object"):
+                serve_xyz(xyz_execution, records, tamper=tamper)
 
     def test_blank_lines_ignored(self, xyz_execution):
         records = []

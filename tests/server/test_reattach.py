@@ -133,7 +133,7 @@ class TestDaemonRestart:
             session.send(m)
         deadline = time.monotonic() + 10.0   # wait for a durable prefix
         sess = first._sessions[session.session_id]
-        while sess._durable == 0 and time.monotonic() < deadline:
+        while sess.journal.count == 0 and time.monotonic() < deadline:
             time.sleep(0.02)
         first.shutdown(drain=False)   # journals survive a daemon shutdown
 

@@ -8,6 +8,7 @@ with the same verdict, and (c) give up on a crash loop with a reasoned
 error instead of hanging the client.
 """
 
+import json
 import os
 import signal
 import time
@@ -15,12 +16,20 @@ import time
 import pytest
 
 from repro.logic import Monitor
+from repro.obs import metrics as _metrics
 from repro.observer import Observer
 from repro.observer.reliable import ReliableTransportError
 from repro.server import AnalysisServer, ServerConfig, attach
+from repro.store.format import read_trace_prefix
 from repro.workloads import XYZ_PROPERTY, XYZ_VARS
 
-from ..conftest import PARITY_CASES, lock_soup, parity_case, serve_once
+from ..conftest import (
+    PARITY_CASES,
+    SOUP_ENGINES,
+    lock_soup,
+    parity_case,
+    serve_once,
+)
 
 
 @pytest.fixture
@@ -46,15 +55,25 @@ def _config(tmp_path, **kw):
     return ServerConfig(**kw)
 
 
-def _worker_pid(server, session_id, deadline=10.0):
+def _worker_pid(server, session_id, deadline=10.0, not_pid=None):
+    """The pid of the session's live worker (one other than ``not_pid``:
+    a worker just killed can still look alive for a moment)."""
     end = time.monotonic() + deadline
     while time.monotonic() < end:
         sess = server._sessions.get(session_id)
         proc = getattr(sess, "_proc", None) if sess else None
-        if proc is not None and proc.pid is not None and proc.is_alive():
+        if (proc is not None and proc.pid is not None
+                and proc.pid != not_pid and proc.is_alive()):
             return proc.pid
         time.sleep(0.02)
     raise RuntimeError("no live worker process")
+
+
+def _final_clocks(execution):
+    clocks = [[0] * execution.n_threads for _ in range(execution.n_threads)]
+    for m in execution.messages:
+        clocks[m.thread] = list(m.clock)
+    return clocks
 
 
 class TestSupervisedParity:
@@ -254,3 +273,142 @@ class TestWorkerCrash:
                 for m in xyz_execution.messages[1:]:
                     session.send(m)
                 session.close(timeout=30.0)
+
+    def test_repeated_sigkills_on_a_long_stream(self, tmp_path):
+        """Three kills at about 1/4, 1/2 and 3/4 of the ``lattice``-sized
+        lock soup: each incarnation replays the journal written so far."""
+        execution = lock_soup(0, 155)
+        engines = list(SOUP_ENGINES)
+        expected = _observer_verdict(execution, None, engines)
+        records = []
+        config = _config(tmp_path, checkpoint_every=4)
+        with AnalysisServer(config, on_session_end=records.append) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=execution.n_threads,
+                             initial=dict(execution.initial_store),
+                             program="soup", engines=engines)
+            n = len(execution.messages)
+            killed = None
+            for i, m in enumerate(execution.messages):
+                if i in (n // 4, n // 2, 3 * n // 4):
+                    killed = _worker_pid(srv, session.session_id,
+                                         not_pid=killed)
+                    os.kill(killed, signal.SIGKILL)
+                session.send(m)
+            verdict = session.close(timeout=120.0)
+
+        assert verdict.state == "finished"
+        assert verdict.analyzed == n
+        assert list(verdict.counterexamples) == expected.counterexamples
+        assert verdict.engines == expected.engines
+        assert [list(c) for c in verdict.final_clocks] == \
+            _final_clocks(execution)
+        [record] = records
+        assert record["restarts"] == 3
+
+    def test_replayed_events_are_counted_by_the_daemon(self, tmp_path,
+                                                       xyz_execution,
+                                                       xyz_initial):
+        _metrics.enable(reset=True)
+        try:
+            with AnalysisServer(_config(tmp_path)) as srv:
+                session = attach(srv.host, srv.port,
+                                 n_threads=xyz_execution.n_threads,
+                                 initial=xyz_initial, spec=XYZ_PROPERTY,
+                                 program="xyz")
+                half = len(xyz_execution.messages) // 2
+                for m in xyz_execution.messages[:half]:
+                    session.send(m)
+                sess = srv._sessions[session.session_id]
+                deadline = time.monotonic() + 10.0
+                while sess.received < half and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                os.kill(_worker_pid(srv, session.session_id), signal.SIGKILL)
+                for m in xyz_execution.messages[half:]:
+                    session.send(m)
+                assert session.close(timeout=60.0).state == "finished"
+            replayed = _metrics.REGISTRY.get(
+                "server.recovery_replayed_events")
+            assert replayed is not None and replayed.value >= half
+            assert _metrics.REGISTRY.get(
+                "server.worker_recovered_events") is None
+        finally:
+            _metrics.disable()
+
+
+class TestJournalAhead:
+    def test_journal_and_ckpt_frames_run_ahead_of_a_stopped_worker(
+            self, tmp_path):
+        """The daemon journals, fsyncs and tells the client before the
+        analysis: with the worker stopped, the client still gets its
+        ``ckpt`` frames and the journal holds the checkpointed prefix."""
+        execution = lock_soup(0)
+        engines = list(SOUP_ENGINES)
+        expected = _observer_verdict(execution, None, engines)
+        config = _config(tmp_path, checkpoint_every=4,
+                         heartbeat_timeout=120.0)
+        with AnalysisServer(config) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=execution.n_threads,
+                             initial=dict(execution.initial_store),
+                             program="soup", engines=engines)
+            ckpts = []
+            on_frame = session._sender._on_frame
+
+            def record_ckpt(d):
+                if d.get("t") == "ckpt":
+                    ckpts.append(d["n"])
+                on_frame(d)
+
+            session._sender._on_frame = record_ckpt
+            pid = _worker_pid(srv, session.session_id)
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                for m in execution.messages[:16]:
+                    session.send(m)
+                deadline = time.monotonic() + 10.0
+                while (not ckpts or ckpts[-1] < 16) and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.02)
+                sess = srv._sessions[session.session_id]
+                events = sess.journal.events_path
+                journaled = (len(read_trace_prefix(events).messages)
+                             if events.exists() else 0)
+                assert ckpts == [4, 8, 12, 16]
+                assert journaled >= ckpts[-1]
+                assert sess.analyzed == 0
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            for m in execution.messages[16:]:
+                session.send(m)
+            verdict = session.close(timeout=60.0)
+
+        assert verdict.state == "finished"
+        assert verdict.analyzed == len(execution.messages)
+        assert list(verdict.counterexamples) == expected.counterexamples
+        assert verdict.engines == expected.engines
+        assert [list(c) for c in verdict.final_clocks] == \
+            _final_clocks(execution)
+
+
+class TestDefaultEngines:
+    @pytest.mark.parametrize("supervised", [False, True],
+                             ids=["inproc", "supervised"])
+    def test_config_default_applies_to_a_hello_without_engines(
+            self, tmp_path, xyz_execution, xyz_initial, supervised):
+        config = ServerConfig(port=0, drain_timeout=60.0,
+                              default_engines=("atomicity",),
+                              **_mode_config(tmp_path, supervised))
+        with AnalysisServer(config) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=xyz_execution.n_threads,
+                             initial=xyz_initial, program="xyz")
+            if supervised:
+                [meta] = (tmp_path / "ckpt").glob("session-*/meta.json")
+                doc = json.loads(meta.read_text(encoding="utf-8"))
+                assert doc["engines"] == ["atomicity"]
+            for m in xyz_execution.messages:
+                session.send(m)
+            verdict = session.close(timeout=60.0)
+        assert verdict.state == "finished"
+        assert [e["engine"] for e in verdict.engines] == ["atomicity"]
