@@ -3,13 +3,16 @@
 Three questions a deployment asks of the store:
 
 * what does the v2 segment format cost (and save) against v1 JSONL —
-  write/read throughput and bytes per event;
+  write/read throughput and bytes per event (v1 is read-only in the
+  package, so this bench dumps its JSON lines itself);
 * what does deterministic replay cost relative to the live analysis it
   reproduces (the ``repro replay --all --expect-catalog`` budget);
 * does the archive round-trip scale linearly in events;
 * does a commit's catalog cost stay flat as the archive grows.
 """
 
+import json
+import os
 import random
 import statistics
 import time
@@ -18,13 +21,12 @@ from repro.core import AlgorithmA
 from repro.engines import StreamVerdict
 from repro.logic import Monitor
 from repro.observer.observer import Observer
-from repro.observer.trace import read_trace, write_trace
+from repro.observer.trace import read_trace
 from repro.store import (
     Catalog,
     CatalogEntry,
     SegmentWriter,
     TraceArchive,
-    read_trace_v2,
     replay_entry,
 )
 from repro.store.replay import replay_trace
@@ -55,6 +57,19 @@ def write_v2(path, msgs, **kw):
     return w
 
 
+def write_v1(path, msgs):
+    """The v1 layout — a header line, then one ``Message.to_json`` line
+    per message — flushed and fsynced like a v2 close."""
+    header = {"type": "header", "version": 1, "n_threads": N_THREADS,
+              "initial": initial_store(), "program": "unknown"}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for m in msgs:
+            fh.write(m.to_json() + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def test_v2_write_benchmark(benchmark, tmp_path):
     msgs = make_messages()
     path = tmp_path / "big.rpt"
@@ -66,7 +81,7 @@ def test_v2_read_benchmark(benchmark, tmp_path):
     msgs = make_messages()
     path = tmp_path / "big.rpt"
     write_v2(path, msgs)
-    trace = benchmark(lambda: read_trace_v2(path))
+    trace = benchmark(lambda: read_trace(path))
     assert len(trace.messages) == N_EVENTS
     assert [tuple(m.clock) for m in trace.messages[:50]] == [
         tuple(m.clock) for m in msgs[:50]]
@@ -79,7 +94,7 @@ def test_format_comparison(tmp_path):
     v1, v2 = tmp_path / "t.trace", tmp_path / "t.rpt"
 
     t0 = time.perf_counter()
-    write_trace(v1, N_THREADS, initial_store(), msgs)
+    write_v1(v1, msgs)
     w1 = time.perf_counter() - t0
     t0 = time.perf_counter()
     read_trace(v1)
@@ -89,7 +104,7 @@ def test_format_comparison(tmp_path):
     write_v2(v2, msgs)
     w2 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    read_trace_v2(v2)
+    read_trace(v2)
     r2 = time.perf_counter() - t0
 
     for name, path, wt, rt in (("v1 jsonl", v1, w1, r1),

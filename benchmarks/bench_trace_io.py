@@ -1,46 +1,23 @@
-"""Trace-file and wire-format throughput.
+"""Causal-delivery throughput.
 
-The deployment-facing costs: serializing the message stream to a trace file
-(streaming writer, the Algorithm A sink path), loading it back, and pushing
-messages through the causal-delivery buffer under adversarial reordering.
+The deployment-facing cost of pushing messages through the causal-delivery
+buffer, in order and under bounded reordering.  Trace-file write and read
+throughput (the v2 format, the only one written) is measured in
+``bench_store.py``.
 """
 
 import random
 
 from repro.core import AlgorithmA
 from repro.observer.delivery import CausalDelivery
-from repro.observer.trace import read_trace, write_trace
-
-N_EVENTS = 5_000
 
 
-def make_messages(n=N_EVENTS, n_threads=4, seed=0):
+def make_messages(n, n_threads=4, seed=0):
     rng = random.Random(seed)
     algo = AlgorithmA(n_threads)
     for k in range(n):
         algo.on_write(rng.randrange(n_threads), f"v{k % 8}", k)
     return algo.emitted
-
-
-def test_trace_write_benchmark(benchmark, tmp_path):
-    msgs = make_messages()
-    path = tmp_path / "big.trace"
-
-    def write():
-        return write_trace(path, 4, {f"v{i}": 0 for i in range(8)}, msgs)
-
-    assert benchmark(write) == N_EVENTS
-
-
-def test_trace_read_benchmark(benchmark, tmp_path):
-    msgs = make_messages()
-    path = tmp_path / "big.trace"
-    write_trace(path, 4, {f"v{i}": 0 for i in range(8)}, msgs)
-    trace = benchmark(lambda: read_trace(path))
-    assert len(trace.messages) == N_EVENTS
-    # round-trip fidelity on a sample
-    assert [tuple(m.clock) for m in trace.messages[:50]] == [
-        tuple(m.clock) for m in msgs[:50]]
 
 
 def test_causal_delivery_fifo_benchmark(benchmark):

@@ -78,7 +78,6 @@ from .observer import (
     Observer,
     ReorderingChannel,
     read_trace,
-    write_trace,
 )
 from .sched import (
     DeadlockError,
@@ -108,7 +107,6 @@ __all__ = [
     "compile_source",
     "CausalDelivery",
     "read_trace",
-    "write_trace",
     "PCTScheduler",
     "DetectionResult",
     "PredictionReport",

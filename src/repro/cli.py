@@ -81,7 +81,7 @@ from typing import Callable, Optional, Sequence
 from .analysis import find_races, predict
 from .core import all_accesses
 from .lattice import ComputationLattice, render_computation, render_lattice, to_dot
-from .observer.trace import read_trace, write_trace
+from .observer.trace import read_trace
 from .sched import FixedScheduler, RandomScheduler, run_program
 from .workloads import (
     AUDIT_PROPERTY,
@@ -198,11 +198,16 @@ def cmd_demo(args: argparse.Namespace, out: Callable[[str], None]) -> int:
 
 
 def cmd_record(args: argparse.Namespace, out: Callable[[str], None]) -> int:
+    from .store.format import SegmentWriter
+
     demo = DEMOS[args.workload]
     execution = _run_demo(demo, args.seed)
-    n = write_trace(args.trace, execution.n_threads, execution.initial_store,
-                    execution.messages, program=execution.program_name)
-    out(f"recorded {n} messages from {execution.program_name} to {args.trace}")
+    with SegmentWriter(args.trace, execution.n_threads,
+                       execution.initial_store,
+                       program=execution.program_name) as w:
+        for m in execution.messages:
+            w.write(m)
+    out(f"recorded {w.count} messages from {execution.program_name} to {args.trace}")
     return 0
 
 
@@ -1051,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("record", help="run a workload, persist its trace")
     _demo_arg(p)
-    p.add_argument("trace", help="output trace file (JSON lines)")
+    p.add_argument("trace", help="output trace file (trace format v2)")
     p.set_defaults(fn=cmd_record)
 
     p = sub.add_parser("check", help="predictive analysis of a trace file")

@@ -214,7 +214,12 @@ class Message:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Wire envelope around a :class:`Message`: sender sequence + checksum.
+    """Envelope around a :class:`Message`: sender sequence + checksum.
+
+    In-process only: :class:`~repro.observer.faults.FaultyChannel` wraps
+    messages in it and the fault-tolerant observer checks it.  It has no
+    serialised form; the served wire carries its own sequence numbers and
+    CRCs (:mod:`repro.observer.reliable`).
 
     The paper's observer tolerates arbitrary *reordering* because per-thread
     sequencing is encoded in the MVCs themselves; tolerating *loss,
@@ -255,19 +260,3 @@ class Envelope:
     def thread(self) -> int:
         """Routing key, so envelopes ride thread-sharded channels."""
         return self.message.thread
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "type": "envelope",
-            "seq": self.seq,
-            "crc": self.checksum,
-            "payload": self.message.to_json(),
-        })
-
-    @classmethod
-    def from_json(cls, line: str) -> "Envelope":
-        d = json.loads(line)
-        if d.get("type") != "envelope":
-            raise ValueError("not an envelope record")
-        return cls(message=Message.from_json(d["payload"]),
-                   seq=d["seq"], checksum=d["crc"])

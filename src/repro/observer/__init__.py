@@ -16,7 +16,7 @@ from .reliable import (
     ReliableTransportError,
     RetransmitConfig,
 )
-from .trace import Trace, TraceFormatError, TraceWriter, read_trace, write_trace
+from .trace import Trace, TraceFormatError, read_trace
 
 __all__ = [
     "Channel",
@@ -36,7 +36,5 @@ __all__ = [
     "RetransmitConfig",
     "Trace",
     "TraceFormatError",
-    "TraceWriter",
     "read_trace",
-    "write_trace",
 ]

@@ -149,10 +149,13 @@ class FrameDecoder:
     Args:
         send: callable taking raw frame ``bytes`` — used to emit acks back
             to this peer.
-        on_message: called with each :class:`Message` in seq order.
-            Exceptions propagate to the caller of :meth:`feed_line` (the
-            server uses this to abort a session on overload without acking
-            the frame that overflowed it).
+        on_message: called as ``on_message(msg, payload)`` with each
+            :class:`Message` in seq order and ``payload``, the CRC-checked
+            ``Message.to_json`` text it was decoded from (always one ASCII
+            line), so a caller that stores the stream need not encode it
+            again.  Exceptions propagate to the caller of
+            :meth:`feed_line` (the server uses this to abort a session on
+            overload without acking the frame that overflowed it).
         start_seq: first sequence number this decoder will deliver.  A
             resumed session hands the peer's already-delivered count here,
             so replayed frames below it are re-acked as duplicates instead
@@ -160,7 +163,7 @@ class FrameDecoder:
     """
 
     def __init__(self, send: Callable[[bytes], None],
-                 on_message: Optional[Callable[[Message], None]] = None,
+                 on_message: Optional[Callable[[Message, str], None]] = None,
                  start_seq: int = 0):
         if start_seq < 0:
             raise ValueError("start_seq must be >= 0")
@@ -234,10 +237,14 @@ class FrameDecoder:
             except Exception as exc:  # noqa: BLE001 - any decode failure
                 raise self._corrupt(
                     f"seq {seq} payload is not a message: {exc!r}") from exc
+            if not payload.isascii() or "\n" in payload or "\r" in payload:
+                # stored as one line of a trace segment: any other layout
+                # of the same JSON is replaced by the canonical encoding
+                payload = msg.to_json()
             if _metrics.ENABLED:
                 _C_RECV_MSGS.inc()
             if self._on_message is not None:
-                self._on_message(msg)
+                self._on_message(msg, payload)
             self._next_deliver += 1
         self._send(_frame({"t": "ack", "seq": seq}))
 

@@ -4,39 +4,35 @@ JMPaX analyzes live socket streams; for a reusable tool it is equally
 useful to persist the instrumented run and analyze it later (or on another
 machine).  Two on-disk formats share one reader entry point:
 
-* **v1** (this module): JSON lines — a header record then one record per
-  message::
+* **v2** (:mod:`repro.store.format`): binary-framed, CRC-checksummed,
+  gzip-compressed segments — the only format written
+  (``repro.store.format.SegmentWriter``: ``repro record``, the trace
+  archive, the daemon's session journals).
+* **v1** (read here, never written): JSON lines — a header record then one
+  record per message, so traces recorded by older versions still load::
 
       {"type": "header", "version": 1, "n_threads": 2, "initial": {...},
        "program": "landing-controller"}
       {"thread": 0, "seq": 2, "kind": "write", ...}      # Message.to_json
 
-* **v2** (:mod:`repro.store.format`): binary-framed, CRC-checksummed,
-  gzip-compressed segments — the trace-archive format.  :func:`iter_trace`
-  and :func:`read_trace` sniff the magic bytes and read either.
-
-Both formats are append-friendly: the instrumentation can stream records
-as Algorithm A emits them (see :class:`TraceWriter` here and
-``repro.store.format.SegmentWriter`` for v2).
-
-Reading is streaming-first: :func:`iter_trace` yields the header then one
-message at a time, so replaying a multi-gigabyte archive never loads the
-whole file into memory; :func:`read_trace` is a convenience that drains
-the same generator into a :class:`Trace`.
+:func:`iter_trace` and :func:`read_trace` sniff the magic bytes and read
+either.  Reading is streaming-first: :func:`iter_trace` yields the header
+then one message at a time, so replaying a multi-gigabyte archive never
+loads the whole file into memory; :func:`read_trace` is a convenience
+that drains the same generator into a :class:`Trace`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Iterator, Union
 
 from ..core.events import Message, VarName
 
-__all__ = ["Trace", "TraceHeader", "TraceFormatError", "TraceWriter",
-           "write_trace", "read_trace", "iter_trace", "trace_version"]
+__all__ = ["Trace", "TraceHeader", "TraceFormatError", "read_trace",
+           "iter_trace", "trace_version"]
 
 _VERSION = 1
 
@@ -99,100 +95,6 @@ class Trace:
     def __post_init__(self) -> None:
         if self.n_threads <= 0:
             raise ValueError("trace needs at least one thread")
-
-
-class TraceWriter:
-    """Streaming v1 writer: header first, then one line per message.
-
-    Usable as an Algorithm A sink::
-
-        with TraceWriter(path, n_threads=2, initial=store) as w:
-            run_program(program, scheduler, sink=w.write)
-
-    Durability contract: a clean :meth:`close` (or clean ``with`` exit)
-    flushes *and fsyncs* before closing, so a trace that a recorder claims
-    to have written survives a crash of the machine right after.  When the
-    body of the ``with`` raises instead, ``__exit__`` still closes the
-    underlying file (no leaked handle) but skips the fsync so the original
-    exception is never masked by a failing sync of a half-written file.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        n_threads: int,
-        initial: Mapping[VarName, Any],
-        program: str = "unknown",
-    ):
-        self._fh: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        try:
-            header = {
-                "type": "header",
-                "version": _VERSION,
-                "n_threads": n_threads,
-                "initial": dict(initial),
-                "program": program,
-            }
-            self._fh.write(json.dumps(header) + "\n")
-        except BaseException:
-            # e.g. a non-JSON-able initial store: don't leak the handle
-            self._abandon()
-            raise
-        self.count = 0
-
-    def write(self, msg: Message) -> None:
-        if self._fh is None:
-            raise RuntimeError("trace writer is closed")
-        try:
-            self._fh.write(msg.to_json() + "\n")
-        except BaseException:
-            self._abandon()
-            raise
-        self.count += 1
-
-    def close(self) -> None:
-        """Flush, fsync and close (idempotent)."""
-        fh, self._fh = self._fh, None
-        if fh is None:
-            return
-        try:
-            fh.flush()
-            os.fsync(fh.fileno())
-        finally:
-            fh.close()
-
-    def _abandon(self) -> None:
-        """Error path: close the handle without fsync, swallow close errors
-        so the in-flight exception stays primary."""
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            try:
-                fh.close()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is not None:
-            self._abandon()
-        else:
-            self.close()
-
-
-def write_trace(
-    path: str | Path,
-    n_threads: int,
-    initial: Mapping[VarName, Any],
-    messages: Iterable[Message],
-    program: str = "unknown",
-) -> int:
-    """Write a complete v1 trace; returns the number of messages written."""
-    with TraceWriter(path, n_threads, initial, program) as w:
-        for m in messages:
-            w.write(m)
-        return w.count
 
 
 def trace_version(path: str | Path) -> int:

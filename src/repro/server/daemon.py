@@ -419,12 +419,16 @@ class AnalysisServer:
         with self._lock:
             live = list(self._sessions.values())
             sealed = list(self._records)
-            active = len(self._sessions)
             rejected = self._rejected
-        finished = sum(r["state"] == SessionState.FINISHED.value
-                       for r in sealed)
-        failed = sum(r["state"] == SessionState.FAILED.value for r in sealed)
         live = [s.record() for s in live]
+        # a session turns terminal (and its client holds the verdict)
+        # before its reader retires it into the sealed history, so the
+        # gauges count by state, not by which list the row sits in
+        rows = sealed + live
+        finished = sum(r["state"] == SessionState.FINISHED.value
+                       for r in rows)
+        failed = sum(r["state"] == SessionState.FAILED.value for r in rows)
+        active = len(rows) - finished - failed
         doc = {
             "t": "status",
             "server": {
@@ -440,7 +444,7 @@ class AnalysisServer:
                 "failed": failed,
                 "rejected": rejected,
             },
-            "sessions": sorted(sealed + live, key=lambda r: r["session"]),
+            "sessions": sorted(rows, key=lambda r: r["session"]),
         }
         if _metrics.ENABLED:
             doc["metrics"] = _metrics.REGISTRY.snapshot()
@@ -770,8 +774,9 @@ class AnalysisServer:
         meter = getattr(session, "meter", None)
         ckpt_frames = session.supervised or self.config.resume_timeout > 0
 
-        def ingest(msg) -> None:
-            if not session.enqueue(msg, self.config.overload_timeout):
+        def ingest(msg, payload: str) -> None:
+            if not session.enqueue(msg, self.config.overload_timeout,
+                                   text=payload):
                 raise _Overload(
                     f"session {session.id} overloaded: ingest queue held "
                     f"{self.config.max_queued_events} events for more than "

@@ -224,11 +224,14 @@ class SessionJournal:
         self._writer = writer
         return recovered
 
-    def write(self, msg: Message) -> str:
-        """Append ``msg``; returns its JSON encoding, for reuse."""
+    def write(self, msg: Message, text: Optional[str] = None) -> str:
+        """Append ``msg``; returns its JSON encoding, for reuse.  ``text``,
+        when given, is that encoding already (the wire payload) and is
+        stored as is."""
         if self._writer is None:
             raise RuntimeError("journal is not open")
-        text = msg.to_json()
+        if text is None:
+            text = msg.to_json()
         self._writer.write_json(text)
         return text
 

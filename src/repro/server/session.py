@@ -230,12 +230,12 @@ class Session:
             initial=self.initial, spec=self.spec)
         self.archive_id = self._pending.id
 
-    def _archive_write(self, msg) -> None:
+    def _archive_write(self, msg, text: Optional[str]) -> None:
         pending = self._pending
         if pending is None:
             return
         try:
-            pending.write(msg)
+            pending.write(msg, text)
         except (OSError, RuntimeError):
             # a full disk (or a racing abort) degrades the archive, never
             # the analysis: drop the recording, keep the session alive
@@ -258,9 +258,12 @@ class Session:
 
     # -- reader side ----------------------------------------------------------
 
-    def enqueue(self, msg: Any, timeout: float) -> bool:
+    def enqueue(self, msg: Any, timeout: float,
+                text: Optional[str] = None) -> bool:
         """Park one message for the worker pool.
 
+        ``text`` is the message's wire payload (its ``Message.to_json``
+        encoding), archived as is instead of encoding ``msg`` again.
         Blocks up to ``timeout`` while the queue is full — during that
         window the reader is not acking, which is exactly the backpressure
         signal the remote sender's bounded window responds to.  Returns
@@ -277,7 +280,7 @@ class Session:
                         return False
             if self._state is not SessionState.STREAMING:
                 return False
-            self._queue.append(msg)
+            self._queue.append((msg, text))
             self.received += 1
             if len(self._queue) > self.queue_high_water:
                 self.queue_high_water = len(self._queue)
@@ -318,13 +321,13 @@ class Session:
             self._cond.notify_all()   # freed queue space → reader resumes
         try:
             if batch:
-                self.observer.receive_batch(batch)
+                self.observer.receive_batch([msg for msg, _ in batch])
                 # count first: a reader that sees `analyzed` sees its count
                 self.live_violations = self.observer.finding_count()
                 self.analyzed += len(batch)
-                for item in batch:
-                    self.final_clocks[item.thread] = tuple(item.clock)
-                    self._archive_write(item)
+                for msg, text in batch:
+                    self.final_clocks[msg.thread] = tuple(msg.clock)
+                    self._archive_write(msg, text)
             if saw_fin:
                 self.observer.finish()
                 # build the verdict and archive it before `done` is

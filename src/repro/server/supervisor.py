@@ -373,12 +373,13 @@ class SupervisedSession(Session):
         self._archive = archive
         self.archive_id = None
 
-    def enqueue(self, msg: Any, timeout: float) -> bool:
+    def enqueue(self, msg: Any, timeout: float,
+                text: Optional[str] = None) -> bool:
         with self._submit_lock:
             with self._cond:
                 if self._state is not SessionState.STREAMING:
                     return False
-                text = self.journal.write(msg)
+                text = self.journal.write(msg, text)
                 self.received += 1
                 if self.received % self.sup.checkpoint_every == 0:
                     self.journal.checkpoint()

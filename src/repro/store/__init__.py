@@ -37,7 +37,6 @@ from .format import (
     iter_trace_v2,
     read_trace_meta,
     read_trace_prefix,
-    read_trace_v2,
 )
 from .gc import GCReport, RetentionPolicy
 from .replay import (
@@ -62,7 +61,6 @@ __all__ = [
     "TraceMeta",
     "TracePrefix",
     "iter_trace_v2",
-    "read_trace_v2",
     "read_trace_meta",
     "read_trace_prefix",
     "RetentionPolicy",

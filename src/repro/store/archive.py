@@ -150,13 +150,18 @@ class PendingTrace:
         w = self._writer
         return w.count if w is not None else 0
 
-    def write(self, msg: Message) -> None:
+    def write(self, msg: Message, text: Optional[str] = None) -> None:
         """Append one analyzed message (not thread-safe against itself:
-        exactly one writer thread, the session's worker, calls this)."""
+        exactly one writer thread, the session's worker, calls this).
+        ``text``, when given, is ``msg.to_json()`` already encoded (the
+        wire payload) and is stored as is."""
         w = self._writer
         if w is None:
             raise RuntimeError(f"pending trace {self.id} already resolved")
-        w.write(msg)
+        if text is None:
+            w.write(msg)
+        else:
+            w.write_json(text)
         self._final_clocks[msg.thread] = tuple(msg.clock)
 
     @property

@@ -1,12 +1,13 @@
 """Trace format v2: binary-framed, checksummed, gzip-compressed segments.
 
-The v1 JSONL format (:mod:`repro.observer.trace`) is ideal for eyeballing
-a short run but pays for it at archive scale: every message repeats its
-field names, nothing detects a flipped bit, and the only corruption signal
-is a JSON parse error somewhere downstream.  The archive format fixes all
-three while staying append-streamable (the writer emits a segment as soon
-as it fills — it never needs the whole trace in memory, and neither does
-the reader).
+This is the one trace format the code writes: ``repro record``, the trace
+archive and the supervised daemon's session journals all use
+:class:`SegmentWriter`.  The older v1 JSON-lines format is read-only
+(:mod:`repro.observer.trace`), kept so existing ``.trace`` files still
+load.  Against v1, v2 does not repeat field names in every record, detects
+a flipped bit, and reports corruption at a byte offset, while staying
+append-streamable (the writer emits a segment as soon as it fills — it
+never needs the whole trace in memory, and neither does the reader).
 
 Layout::
 
@@ -37,9 +38,14 @@ Integrity guarantees, in reading order:
 * a missing FOOTER (writer died before :meth:`SegmentWriter.close`) is
   itself a format error: archives only contain committed traces.
 
-Errors reuse :class:`repro.observer.trace.TraceFormatError`; for this
-binary format the error's position field carries the **byte offset** of
-the offending frame (the ``problem`` text says so explicitly).
+The three readers — :func:`iter_trace_v2` (strict, streaming),
+:func:`read_trace_prefix` (tolerant of a torn tail) and
+:func:`read_trace_meta` (header and footer only) — share one header
+parser and one segment decoder, so they accept and reject the same
+headers.  Errors reuse :class:`repro.observer.trace.TraceFormatError`;
+for this binary format the error's position field carries the **byte
+offset** of the offending frame (the ``problem`` text says so
+explicitly).
 """
 
 from __future__ import annotations
@@ -58,8 +64,7 @@ from ..obs import metrics as _metrics
 from ..observer.trace import V2_MAGIC, TraceFormatError, TraceHeader
 
 __all__ = ["FORMAT_VERSION", "MAGIC", "SegmentWriter", "iter_trace_v2",
-           "read_trace_v2", "TracePrefix", "read_trace_prefix",
-           "TraceMeta", "read_trace_meta"]
+           "TracePrefix", "read_trace_prefix", "TraceMeta", "read_trace_meta"]
 
 FORMAT_VERSION = 2
 MAGIC = V2_MAGIC
@@ -96,13 +101,18 @@ _C_CHECKPOINTS = _metrics.REGISTRY.counter(
 class SegmentWriter:
     """Streaming v2 writer: magic + header frame, then gzip segments.
 
-    The v2 counterpart of :class:`~repro.observer.trace.TraceWriter`, with
-    the same sink shape (``write(msg)``) and the same durability contract:
-    a clean :meth:`close` flushes the last partial segment, writes the
-    footer, and fsyncs; an exception inside a ``with`` block still closes
-    the file handle (no leak) without masking the original error.
-    :meth:`abort` additionally unlinks the partial file — the archive uses
-    it for sessions that fail mid-stream.
+    Usable as an Algorithm A sink::
+
+        with SegmentWriter(path, n_threads=2, initial=store) as w:
+            run_program(program, scheduler, sink=w.write)
+
+    Durability contract: a clean :meth:`close` flushes the last partial
+    segment, writes the footer, and fsyncs, so a trace a recorder claims
+    to have written survives a crash of the machine right after.  Any
+    failed write, and an exception inside a ``with`` block, closes the
+    file handle (no leak) without an fsync that could mask the original
+    error.  :meth:`abort` additionally unlinks the partial file — the
+    archive uses it for sessions that fail mid-stream.
     """
 
     def __init__(
@@ -160,10 +170,16 @@ class SegmentWriter:
     # -- sink interface -------------------------------------------------------
 
     def write(self, msg: Message) -> None:
-        self.write_json(msg.to_json())
+        try:
+            line = msg.to_json()
+        except BaseException:
+            self._abandon()
+            raise
+        self.write_json(line)
 
     def write_json(self, line: str) -> None:
-        """Append one message already encoded by :meth:`Message.to_json`."""
+        """Append one message already encoded by :meth:`Message.to_json`
+        (the wire payload a daemon received, say), without re-encoding."""
         if self._fh is None:
             raise RuntimeError("segment writer is closed")
         try:
@@ -270,9 +286,12 @@ def _read_exact(fh: IO[bytes], n: int) -> Optional[bytes]:
 
 
 def _frames(path: str | Path, fh: IO[bytes]) -> Iterator[tuple[int, int, bytes]]:
-    """Yield ``(frame_offset, frame_type, payload)`` with the CRC already
-    verified; raises :class:`TraceFormatError` at the frame's byte offset
-    on any structural damage."""
+    """Check the magic, then yield ``(frame_offset, frame_type, payload)``
+    with the CRC already verified; raises :class:`TraceFormatError` at the
+    frame's byte offset on any structural damage."""
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise TraceFormatError(
+            path, 0, f"not a v2 trace file (magic {MAGIC!r} missing)")
     offset = len(MAGIC)
     while True:
         head = _read_exact(fh, _FRAME_HEAD.size)
@@ -324,6 +343,93 @@ def _json_payload(path: str | Path, offset: int, payload: bytes,
     return doc
 
 
+def _read_header(path: str | Path,
+                 frames: Iterator[tuple[int, int, bytes]]) -> TraceHeader:
+    """Take the first frame off ``frames`` and validate it as the header.
+
+    The one header parser of every v2 reader, so they all accept and
+    reject the same files; every rejection is a :class:`TraceFormatError`.
+    """
+    try:
+        offset, frame_type, payload = next(frames)
+    except StopIteration:
+        raise TraceFormatError(
+            path, len(MAGIC), "empty v2 trace file (no header frame)") from None
+    if frame_type != _FT_HEADER:
+        raise TraceFormatError(
+            path, offset,
+            f"first frame must be the header, got frame type "
+            f"{frame_type:#04x} at byte offset {offset}")
+    doc = _json_payload(path, offset, payload, "header")
+    version = doc.get("version")
+    if version != FORMAT_VERSION:
+        raise TraceFormatError(
+            path, offset,
+            f"unsupported trace version {version!r} (this reader "
+            f"understands version {FORMAT_VERSION})")
+    for key in ("n_threads", "initial"):
+        if key not in doc:
+            raise TraceFormatError(
+                path, offset, f"header lacks the mandatory {key!r} field")
+    if not isinstance(doc["n_threads"], int):
+        raise TraceFormatError(
+            path, offset,
+            f"header n_threads must be an integer, got {doc['n_threads']!r}")
+    try:
+        return TraceHeader(
+            n_threads=doc["n_threads"],
+            initial=dict(doc["initial"]),
+            program=doc.get("program", "unknown"),
+            version=FORMAT_VERSION,
+        )
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(path, offset, f"invalid header: {exc}") from exc
+
+
+def _decode_segment(path: str | Path, offset: int,
+                    payload: bytes) -> list[Message]:
+    """Decompress and decode one segment frame, all or nothing: a segment
+    that is only partly decodable raises :class:`TraceFormatError`."""
+    try:
+        raw = gzip.decompress(payload)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise TraceFormatError(
+            path, offset,
+            f"segment at byte offset {offset} failed to decompress "
+            f"({exc})") from exc
+    try:
+        return [Message.from_json(line)
+                for line in raw.decode("utf-8").splitlines() if line]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            path, offset,
+            f"segment at byte offset {offset} holds a malformed message "
+            f"record: {exc}") from exc
+
+
+def _read_footer(path: str | Path, offset: int, payload: bytes) -> dict:
+    footer = _json_payload(path, offset, payload, "footer")
+    for key in ("events", "segments"):
+        if not isinstance(footer.get(key), int):
+            raise TraceFormatError(
+                path, offset,
+                f"footer {key} must be an integer, got {footer.get(key)!r}")
+    return footer
+
+
+def _unknown_frame(path: str | Path, offset: int,
+                   frame_type: int) -> TraceFormatError:
+    return TraceFormatError(
+        path, offset,
+        f"unknown frame type {frame_type:#04x} at byte offset {offset}")
+
+
+def _no_footer(path: str | Path) -> TraceFormatError:
+    return TraceFormatError(
+        path, len(MAGIC),
+        "v2 trace has no footer frame (writer closed uncleanly?)")
+
+
 def iter_trace_v2(
     path: str | Path,
 ) -> Iterator[Union[TraceHeader, Message]]:
@@ -334,115 +440,38 @@ def iter_trace_v2(
     with the offending frame's byte offset.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise TraceFormatError(
-                path, 0, f"not a v2 trace file (magic {MAGIC!r} missing)")
+        frames = _frames(path, fh)
+        yield _read_header(path, frames)
         events = 0
         segments = 0
         footer: Optional[dict] = None
-        saw_header = False
-        for offset, frame_type, payload in _frames(path, fh):
+        for offset, frame_type, payload in frames:
             if footer is not None:
                 raise TraceFormatError(
                     path, offset,
                     f"frame at byte offset {offset} after the footer "
                     "(the footer must be the final frame)")
-            if not saw_header:
-                if frame_type != _FT_HEADER:
-                    raise TraceFormatError(
-                        path, offset,
-                        f"first frame must be the header, got frame type "
-                        f"{frame_type:#04x} at byte offset {offset}")
-                doc = _json_payload(path, offset, payload, "header")
-                version = doc.get("version")
-                if version != FORMAT_VERSION:
-                    raise TraceFormatError(
-                        path, offset,
-                        f"unsupported trace version {version!r} (this "
-                        f"reader understands version {FORMAT_VERSION})")
-                for key in ("n_threads", "initial"):
-                    if key not in doc:
-                        raise TraceFormatError(
-                            path, offset,
-                            f"header lacks the mandatory {key!r} field")
-                if not isinstance(doc["n_threads"], int):
-                    raise TraceFormatError(
-                        path, offset,
-                        f"header n_threads must be an integer, "
-                        f"got {doc['n_threads']!r}")
-                try:
-                    yield TraceHeader(
-                        n_threads=doc["n_threads"],
-                        initial=dict(doc["initial"]),
-                        program=doc.get("program", "unknown"),
-                        version=FORMAT_VERSION,
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise TraceFormatError(
-                        path, offset, f"invalid header: {exc}") from exc
-                saw_header = True
-                continue
             if frame_type == _FT_SEGMENT:
-                try:
-                    raw = gzip.decompress(payload)
-                except (OSError, EOFError, zlib.error) as exc:
-                    raise TraceFormatError(
-                        path, offset,
-                        f"segment at byte offset {offset} failed to "
-                        f"decompress ({exc})") from exc
+                batch = _decode_segment(path, offset, payload)
                 segments += 1
-                for line in raw.decode("utf-8").splitlines():
-                    if not line:
-                        continue
-                    try:
-                        msg = Message.from_json(line)
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise TraceFormatError(
-                            path, offset,
-                            f"segment at byte offset {offset} holds a "
-                            f"malformed message record: {exc}") from exc
-                    events += 1
-                    yield msg
+                events += len(batch)
+                yield from batch
             elif frame_type == _FT_FOOTER:
-                footer = _json_payload(path, offset, payload, "footer")
-                if footer.get("events") != events:
+                footer = _read_footer(path, offset, payload)
+                if footer["events"] != events:
                     raise TraceFormatError(
                         path, offset,
-                        f"footer declares {footer.get('events')!r} events "
-                        f"but {events} were decoded (missing or extra "
-                        "segments)")
-                if footer.get("segments") != segments:
+                        f"footer declares {footer['events']} events but "
+                        f"{events} were decoded (missing or extra segments)")
+                if footer["segments"] != segments:
                     raise TraceFormatError(
                         path, offset,
-                        f"footer declares {footer.get('segments')!r} "
-                        f"segments but {segments} were decoded")
+                        f"footer declares {footer['segments']} segments "
+                        f"but {segments} were decoded")
             else:
-                raise TraceFormatError(
-                    path, offset,
-                    f"unknown frame type {frame_type:#04x} at byte offset "
-                    f"{offset}")
-        if not saw_header:
-            raise TraceFormatError(
-                path, len(MAGIC), "empty v2 trace file (no header frame)")
+                raise _unknown_frame(path, offset, frame_type)
         if footer is None:
-            raise TraceFormatError(
-                path, len(MAGIC),
-                "v2 trace has no footer frame (writer closed uncleanly?)")
-
-
-def read_trace_v2(path: str | Path):
-    """Load a whole v2 trace into a :class:`~repro.observer.trace.Trace`."""
-    from ..observer.trace import Trace
-
-    stream = iter_trace_v2(path)
-    header = next(stream)
-    assert isinstance(header, TraceHeader)
-    return Trace(
-        n_threads=header.n_threads,
-        initial=dict(header.initial),
-        messages=[m for m in stream if isinstance(m, Message)],
-        program=header.program,
-    )
+            raise _no_footer(path)
 
 
 @dataclass
@@ -466,70 +495,29 @@ class TracePrefix:
 def read_trace_prefix(path: str | Path) -> TracePrefix:
     """Read as much of a v2 trace as is intact — the recovery read path.
 
-    Unlike :func:`iter_trace_v2`, damage *after* a run of good frames is
-    not an error: reading stops at the first torn, checksum-failed or
-    undecodable frame and everything before it is returned.  A missing or
-    unreadable header is still a :class:`TraceFormatError` (there is no
-    prefix to recover without one).
+    Unlike :func:`iter_trace_v2`, damage *after* the header is not an
+    error: reading stops at the first torn, checksum-failed or undecodable
+    frame and everything before it is returned.  A missing or invalid
+    header is still a :class:`TraceFormatError` (there is no prefix to
+    recover without one).
     """
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise TraceFormatError(
-                path, 0, f"not a v2 trace file (magic {MAGIC!r} missing)")
         frames = _frames(path, fh)
-        try:
-            offset, frame_type, payload = next(frames)
-        except StopIteration:
-            raise TraceFormatError(
-                path, len(MAGIC), "empty v2 trace file (no header frame)")
-        if frame_type != _FT_HEADER:
-            raise TraceFormatError(
-                path, offset,
-                f"first frame must be the header, got frame type "
-                f"{frame_type:#04x} at byte offset {offset}")
-        doc = _json_payload(path, offset, payload, "header")
-        if doc.get("version") != FORMAT_VERSION:
-            raise TraceFormatError(
-                path, offset,
-                f"unsupported trace version {doc.get('version')!r}")
-        header = TraceHeader(
-            n_threads=doc["n_threads"], initial=dict(doc["initial"]),
-            program=doc.get("program", "unknown"), version=FORMAT_VERSION)
+        header = _read_header(path, frames)
         messages: list[Message] = []
         footer: Optional[dict] = None
         truncated: Optional[str] = None
-        while True:
-            try:
-                offset, frame_type, payload = next(frames)
-            except StopIteration:
-                break
-            except TraceFormatError as exc:
-                truncated = exc.problem
-                break
-            if frame_type == _FT_SEGMENT:
-                # decode the whole segment before trusting any of it: a
-                # half-decodable segment would otherwise leave a prefix
-                # that no full-file reader agrees with
-                try:
-                    raw = gzip.decompress(payload)
-                    batch = [Message.from_json(line)
-                             for line in raw.decode("utf-8").splitlines()
-                             if line]
-                except Exception as exc:  # noqa: BLE001 - tail damage
-                    truncated = (f"segment at byte offset {offset} "
-                                 f"undecodable ({exc})")
+        try:
+            for offset, frame_type, payload in frames:
+                if frame_type == _FT_SEGMENT:
+                    messages.extend(_decode_segment(path, offset, payload))
+                elif frame_type == _FT_FOOTER:
+                    footer = _read_footer(path, offset, payload)
                     break
-                messages.extend(batch)
-            elif frame_type == _FT_FOOTER:
-                try:
-                    footer = _json_payload(path, offset, payload, "footer")
-                except TraceFormatError as exc:
-                    truncated = exc.problem
-                break
-            else:
-                truncated = (f"unknown frame type {frame_type:#04x} at "
-                             f"byte offset {offset}")
-                break
+                else:
+                    raise _unknown_frame(path, offset, frame_type)
+        except TraceFormatError as exc:
+            truncated = exc.problem
         return TracePrefix(
             header=header, messages=messages, complete=footer is not None,
             footer=footer, truncated_at=truncated)
@@ -556,39 +544,23 @@ def read_trace_meta(path: str | Path) -> TraceMeta:
     segment.  Raises :class:`TraceFormatError` if the file has no footer
     (unsealed) or is otherwise structurally damaged."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise TraceFormatError(
-                path, 0, f"not a v2 trace file (magic {MAGIC!r} missing)")
-        header: Optional[TraceHeader] = None
+        frames = _frames(path, fh)
+        header = _read_header(path, frames)
         footer: Optional[dict] = None
         segments = 0
-        for offset, frame_type, payload in _frames(path, fh):
-            if header is None:
-                if frame_type != _FT_HEADER:
-                    raise TraceFormatError(
-                        path, offset,
-                        f"first frame must be the header, got "
-                        f"{frame_type:#04x}")
-                doc = _json_payload(path, offset, payload, "header")
-                header = TraceHeader(
-                    n_threads=doc["n_threads"], initial=dict(doc["initial"]),
-                    program=doc.get("program", "unknown"),
-                    version=FORMAT_VERSION)
-            elif frame_type == _FT_SEGMENT:
+        for offset, frame_type, payload in frames:
+            if frame_type == _FT_SEGMENT:
                 segments += 1
             elif frame_type == _FT_FOOTER:
-                footer = _json_payload(path, offset, payload, "footer")
-    if header is None:
-        raise TraceFormatError(
-            path, len(MAGIC), "empty v2 trace file (no header frame)")
+                footer = _read_footer(path, offset, payload)
+            else:
+                raise _unknown_frame(path, offset, frame_type)
     if footer is None:
-        raise TraceFormatError(
-            path, len(MAGIC),
-            "v2 trace has no footer frame (writer closed uncleanly?)")
+        raise _no_footer(path)
     catalog = footer.get("catalog")
     return TraceMeta(
         header=header,
-        events=int(footer.get("events", 0)),
+        events=footer["events"],
         segments=segments,
         catalog=catalog if isinstance(catalog, dict) else None,
     )

@@ -17,6 +17,10 @@ from repro.workloads import (
     xyz_program,
 )
 
+#: The ``xyz_execution`` run as a v1 JSON-lines trace, written once by the
+#: v1 writer before v2 became the only format written; v1 is read-only.
+V1_XYZ_TRACE = Path(__file__).parent / "golden" / "xyz_v1.trace"
+
 #: Engine selections of the served ``lattice`` workload, for lock soups.
 SOUP_ENGINES = ("ltl:(v0 > 5) -> [v1 >= 0, v1 > 8)", "atomicity",
                 "pattern:W(v0)=9;R(v0);W(v1)")

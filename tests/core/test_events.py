@@ -151,17 +151,6 @@ class TestEnvelope:
             seq=env.seq, checksum=env.checksum)
         assert not bad.ok
 
-    def test_json_roundtrip_preserves_checksum(self):
-        env = Envelope.wrap(self._msg(), seq=3)
-        back = Envelope.from_json(env.to_json())
-        assert back.ok
-        assert back.seq == 3
-        assert back.message == env.message
-
-    def test_from_json_rejects_non_envelope(self):
-        with pytest.raises(ValueError, match="envelope"):
-            Envelope.from_json('{"type": "header"}')
-
     def test_delivery_index_uses_relevant_position(self):
         m = self._msg()
         assert m.delivery_index == (0, 2)

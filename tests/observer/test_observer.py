@@ -132,13 +132,13 @@ class TestServedSocket:
     over TCP and an analysis server hosts the observer."""
 
     def test_round_trip(self, xyz_execution, tmp_path):
+        from repro.observer.trace import read_trace
         from repro.store import TraceArchive
-        from repro.store.format import read_trace_v2
 
         serve_xyz(xyz_execution, [], archive_dir=str(tmp_path))
         archive = TraceArchive(tmp_path)
         [entry] = archive.entries()
-        received = read_trace_v2(archive.path_of(entry)).messages
+        received = read_trace(archive.path_of(entry)).messages
         assert [m.event.eid for m in received] == [
             m.event.eid for m in xyz_execution.messages]
         assert [tuple(m.clock) for m in received] == [

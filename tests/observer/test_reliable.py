@@ -48,7 +48,8 @@ def decoding_pair(config=None):
     answers the fin.  Returns ``(sender, decoder, delivered, peer)``."""
     ours, theirs = socket.socketpair()
     delivered = []
-    decoder = FrameDecoder(send=theirs.sendall, on_message=delivered.append)
+    decoder = FrameDecoder(send=theirs.sendall,
+                           on_message=lambda msg, _text: delivered.append(msg))
 
     def serve():
         with theirs, theirs.makefile("r", encoding="utf-8") as lines:
@@ -182,9 +183,9 @@ class TestReceiverErrors:
         seen = []
         enqueue = Session.enqueue
 
-        def record(self, msg, timeout):
+        def record(self, msg, timeout, text=None):
             seen.append(msg)
-            return enqueue(self, msg, timeout)
+            return enqueue(self, msg, timeout, text)
 
         monkeypatch.setattr(Session, "enqueue", record)
         with AnalysisServer(ServerConfig(port=0)) as srv:
@@ -321,7 +322,8 @@ class TestFrameDecoder:
 
     def test_undecodable_payload_raises_and_is_not_acked(self, messages):
         sent, got = [], []
-        decoder = FrameDecoder(send=sent.append, on_message=got.append)
+        decoder = FrameDecoder(
+            send=sent.append, on_message=lambda msg, _text: got.append(msg))
         decoder.feed_line(_msg_line(0, messages[0].to_json()))
         with pytest.raises(ReliableTransportError,
                            match="seq 1 payload is not a message"):
@@ -330,9 +332,30 @@ class TestFrameDecoder:
         assert [json.loads(b)["seq"] for b in sent] == [0]
         assert len(got) == 1 and decoder.delivered == 1
 
+    def test_payload_handed_over_is_one_ascii_line(self, messages):
+        """Stores write each payload as one line of a trace segment, so a
+        payload laid out over several lines, or with raw non-ASCII, is
+        handed over in its canonical encoding instead."""
+        got = []
+        decoder = FrameDecoder(send=lambda _: None,
+                               on_message=lambda m, text: got.append(text))
+        canonical = messages[0].to_json()
+        decoder.feed_line(_msg_line(0, canonical))
+        spread = json.dumps(json.loads(messages[1].to_json()), indent=1)
+        decoder.feed_line(_msg_line(1, spread))
+        doc = json.loads(messages[2].to_json())
+        doc["label"] = "x\u2028y"
+        decoder.feed_line(_msg_line(2, json.dumps(doc, ensure_ascii=False)))
+        assert got[0] == canonical
+        assert got[1] == messages[1].to_json()
+        assert json.loads(got[2])["label"] == "x\u2028y"
+        assert all(text.isascii() and len(text.splitlines()) == 1
+                   for text in got)
+
     def test_replayed_frames_are_reacked_once_delivered(self, messages):
         sent, got = [], []
-        decoder = FrameDecoder(send=sent.append, on_message=got.append)
+        decoder = FrameDecoder(
+            send=sent.append, on_message=lambda msg, _text: got.append(msg))
         lines = [_msg_line(i, m.to_json()) for i, m in enumerate(messages[:3])]
         for line in lines + lines[1:]:
             decoder.feed_line(line)

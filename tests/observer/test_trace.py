@@ -1,6 +1,8 @@
-"""Trace file round-trips, streaming reads, and writer durability."""
+"""Trace file reads (v1 from a committed fixture, v2 as written today)
+and the writer's durability contract."""
 
 import json
+import shutil
 
 import pytest
 
@@ -9,23 +11,28 @@ from repro.observer.trace import (
     Trace,
     TraceFormatError,
     TraceHeader,
-    TraceWriter,
     iter_trace,
     read_trace,
     trace_version,
-    write_trace,
 )
 from repro.sched import FixedScheduler, run_program
+from repro.store.format import SegmentWriter
 from repro.workloads import XYZ_OBSERVED_SCHEDULE, xyz_program
+
+from ..conftest import V1_XYZ_TRACE as V1_XYZ
+
+
+@pytest.fixture
+def v1_trace(tmp_path):
+    """A private copy of the v1 fixture, safe to append to or truncate."""
+    path = tmp_path / "t.trace"
+    shutil.copyfile(V1_XYZ, path)
+    return path
 
 
 class TestRoundTrip:
-    def test_write_read(self, xyz_execution, tmp_path):
-        path = tmp_path / "xyz.trace"
-        n = write_trace(path, 2, xyz_execution.initial_store,
-                        xyz_execution.messages, program="xyz")
-        assert n == 4
-        trace = read_trace(path)
+    def test_write_read(self, xyz_execution):
+        trace = read_trace(V1_XYZ)
         assert trace.n_threads == 2
         assert trace.program == "xyz"
         assert trace.initial == dict(xyz_execution.initial_store)
@@ -35,23 +42,20 @@ class TestRoundTrip:
             tuple(m.clock) for m in xyz_execution.messages]
 
     def test_streaming_writer_as_sink(self, tmp_path):
-        path = tmp_path / "stream.trace"
-        with TraceWriter(path, 2, {"x": -1, "y": 0, "z": 0},
-                         program="xyz") as w:
+        path = tmp_path / "stream.rpt"
+        with SegmentWriter(path, 2, {"x": -1, "y": 0, "z": 0},
+                           program="xyz") as w:
             run_program(xyz_program(), FixedScheduler(XYZ_OBSERVED_SCHEDULE),
                         sink=w.write)
         trace = read_trace(path)
         assert len(trace.messages) == 4
 
-    def test_analysis_from_trace(self, xyz_execution, tmp_path):
+    def test_analysis_from_trace(self):
         from repro.lattice import LevelByLevelBuilder
         from repro.logic import Monitor
         from repro.workloads import XYZ_PROPERTY
 
-        path = tmp_path / "t.trace"
-        write_trace(path, 2, xyz_execution.initial_store,
-                    xyz_execution.messages)
-        trace = read_trace(path)
+        trace = read_trace(V1_XYZ)
         monitor = Monitor(XYZ_PROPERTY)
         initial = {v: trace.initial[v] for v in sorted(monitor.variables)}
         b = LevelByLevelBuilder(trace.n_threads, initial, monitor)
@@ -63,11 +67,8 @@ class TestRoundTrip:
 class TestIterTrace:
     """Streaming reads: header first, then messages, incrementally."""
 
-    def test_yields_header_then_messages(self, xyz_execution, tmp_path):
-        path = tmp_path / "t.trace"
-        write_trace(path, 2, xyz_execution.initial_store,
-                    xyz_execution.messages, program="xyz")
-        stream = iter_trace(path)
+    def test_yields_header_then_messages(self, xyz_execution):
+        stream = iter_trace(V1_XYZ)
         header = next(stream)
         assert isinstance(header, TraceHeader)
         assert header.n_threads == 2
@@ -78,14 +79,11 @@ class TestIterTrace:
         assert [m.to_json() for m in messages] == [
             m.to_json() for m in xyz_execution.messages]
 
-    def test_is_lazy(self, xyz_execution, tmp_path):
-        path = tmp_path / "t.trace"
-        write_trace(path, 2, xyz_execution.initial_store,
-                    xyz_execution.messages)
-        stream = iter_trace(path)
+    def test_is_lazy(self, v1_trace):
+        stream = iter_trace(v1_trace)
         next(stream)                       # header parsed...
         next(stream)                       # ...one message parsed...
-        path.write_text("")                # generator holds its own handle
+        v1_trace.write_text("")            # generator holds its own handle
         stream.close()                     # no error: nothing read eagerly
 
     def test_bad_file_raises_on_first_next(self, tmp_path):
@@ -94,19 +92,13 @@ class TestIterTrace:
         with pytest.raises(TraceFormatError):
             next(iter_trace(path))
 
-    def test_skips_blank_lines(self, xyz_execution, tmp_path):
-        path = tmp_path / "t.trace"
-        write_trace(path, 2, xyz_execution.initial_store,
-                    xyz_execution.messages)
-        with open(path, "a", encoding="utf-8") as fh:
+    def test_skips_blank_lines(self, v1_trace):
+        with open(v1_trace, "a", encoding="utf-8") as fh:
             fh.write("\n\n")
-        assert sum(isinstance(i, Message) for i in iter_trace(path)) == 4
+        assert sum(isinstance(i, Message) for i in iter_trace(v1_trace)) == 4
 
-    def test_trace_version_sniffs_v1(self, xyz_execution, tmp_path):
-        path = tmp_path / "t.trace"
-        write_trace(path, 2, xyz_execution.initial_store,
-                    xyz_execution.messages)
-        assert trace_version(path) == 1
+    def test_trace_version_sniffs_v1(self):
+        assert trace_version(V1_XYZ) == 1
 
     def test_header_validation(self):
         with pytest.raises(ValueError):
@@ -114,28 +106,36 @@ class TestIterTrace:
 
 
 class TestWriterDurability:
-    """close() flushes and fsyncs; error exits still close the handle."""
+    """The trace writer (:class:`SegmentWriter`): close() flushes and
+    fsyncs; every error path still closes the handle, without an fsync."""
 
     def test_close_fsyncs(self, tmp_path, xyz_execution, monkeypatch):
-        import repro.observer.trace as trace_mod
+        import repro.store.format as format_mod
 
         synced = []
-        real_fsync = trace_mod.os.fsync
-        monkeypatch.setattr(trace_mod.os, "fsync",
+        real_fsync = format_mod.os.fsync
+        monkeypatch.setattr(format_mod.os, "fsync",
                             lambda fd: (synced.append(fd), real_fsync(fd)))
-        w = TraceWriter(tmp_path / "t.trace", 2, {})
+        w = SegmentWriter(tmp_path / "t.rpt", 2, {})
         w.write(xyz_execution.messages[0])
         w.close()
         assert len(synced) == 1
 
-    def test_close_idempotent(self, tmp_path):
-        w = TraceWriter(tmp_path / "t.trace", 2, {})
+    def test_close_idempotent(self, tmp_path, monkeypatch):
+        import repro.store.format as format_mod
+
+        synced = []
+        real_fsync = format_mod.os.fsync
+        monkeypatch.setattr(format_mod.os, "fsync",
+                            lambda fd: (synced.append(fd), real_fsync(fd)))
+        w = SegmentWriter(tmp_path / "t.rpt", 2, {})
         w.close()
-        w.close()
+        w.close()               # a no-op: no second fsync, no error
+        assert len(synced) == 1
 
     def test_exit_closes_handle_on_error(self, tmp_path, xyz_execution):
         with pytest.raises(RuntimeError, match="boom"):
-            with TraceWriter(tmp_path / "t.trace", 2, {}) as w:
+            with SegmentWriter(tmp_path / "t.rpt", 2, {}) as w:
                 w.write(xyz_execution.messages[0])
                 raise RuntimeError("boom")
         assert w._fh is None
@@ -143,24 +143,37 @@ class TestWriterDurability:
             w.write(xyz_execution.messages[0])
 
     def test_exit_on_error_skips_fsync(self, tmp_path, monkeypatch):
-        import repro.observer.trace as trace_mod
+        import repro.store.format as format_mod
 
         monkeypatch.setattr(
-            trace_mod.os, "fsync",
+            format_mod.os, "fsync",
             lambda fd: (_ for _ in ()).throw(AssertionError("fsync called")))
         with pytest.raises(RuntimeError, match="boom"):
-            with TraceWriter(tmp_path / "t.trace", 2, {}):
+            with SegmentWriter(tmp_path / "t.rpt", 2, {}):
                 raise RuntimeError("boom")
 
     def test_failed_write_abandons_writer(self, tmp_path):
-        w = TraceWriter(tmp_path / "t.trace", 2, {})
+        w = SegmentWriter(tmp_path / "t.rpt", 2, {})
         with pytest.raises(AttributeError):
             w.write(object())   # not a Message: to_json missing
         assert w._fh is None    # handle closed, not leaked
 
-    def test_unserializable_initial_closes_handle(self, tmp_path):
+    def test_unserializable_initial_closes_handle(self, tmp_path,
+                                                  monkeypatch):
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+
+        def spy(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", spy)
         with pytest.raises(TypeError):
-            TraceWriter(tmp_path / "t.trace", 2, {"x": object()})
+            SegmentWriter(tmp_path / "t.rpt", 2, {"x": object()})
+        assert opened and all(fh.closed for fh in opened)
 
 
 class TestValidation:
@@ -184,10 +197,13 @@ class TestValidation:
             read_trace(path)
 
     def test_write_after_close(self, tmp_path, xyz_execution):
-        w = TraceWriter(tmp_path / "t.trace", 2, {})
+        path = tmp_path / "t.rpt"
+        w = SegmentWriter(path, 2, {})
         w.close()
         with pytest.raises(RuntimeError):
             w.write(xyz_execution.messages[0])
+        assert read_trace(path).messages == []   # the rejected write left
+                                                 # the sealed file intact
 
     def test_trace_dataclass_validation(self):
         with pytest.raises(ValueError):

@@ -419,3 +419,59 @@ class TestRejectCategories:
                     if metrics.base_name(n) == "server.rejects"}
         assert sum(labelled.values()) >= 1
         assert any("reason=capacity" in n for n in labelled)
+
+
+class TestStoredPayload:
+    """The daemon stores each message's wire payload as it arrived: an
+    archived or journaled session never encodes a message a second time."""
+
+    @staticmethod
+    def _serve_counting_encodes(monkeypatch, execution, **config):
+        """Serve ``execution`` once; return the number of
+        ``Message.to_json`` calls made off the client's thread."""
+        from repro.core.events import Message
+
+        from ..conftest import serve_once
+
+        client = threading.get_ident()
+        daemon_calls = []
+        encode = Message.to_json
+
+        def counted(msg):
+            if threading.get_ident() != client:
+                daemon_calls.append(msg)
+            return encode(msg)
+
+        monkeypatch.setattr(Message, "to_json", counted)
+        verdict, _ = serve_once(execution, "xyz", XYZ_PROPERTY, None,
+                                **config)
+        assert verdict.state == "finished"
+        return len(daemon_calls)
+
+    @staticmethod
+    def _archived_stream(root):
+        from repro.observer.trace import read_trace
+        from repro.store import TraceArchive
+
+        archive = TraceArchive(root)
+        [entry] = archive.entries()
+        return [m.to_json() for m in read_trace(archive.path_of(entry)).messages]
+
+    def test_archived_in_process_session(self, tmp_path, monkeypatch,
+                                         xyz_execution):
+        root = tmp_path / "arch"
+        assert self._serve_counting_encodes(
+            monkeypatch, xyz_execution, archive_dir=str(root)) == 0
+        monkeypatch.undo()
+        assert self._archived_stream(root) == [
+            m.to_json() for m in xyz_execution.messages]
+
+    def test_supervised_session(self, tmp_path, monkeypatch, xyz_execution):
+        root = tmp_path / "arch"
+        assert self._serve_counting_encodes(
+            monkeypatch, xyz_execution, archive_dir=str(root),
+            supervised=True, workers=1,
+            checkpoint_dir=str(tmp_path / "ckpt")) == 0
+        monkeypatch.undo()
+        assert self._archived_stream(root) == [
+            m.to_json() for m in xyz_execution.messages]

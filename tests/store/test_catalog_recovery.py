@@ -11,9 +11,11 @@ record — a writer killed mid-append — is not damage: it is dropped.
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,32 @@ class TestCatalogRecovery:
         report = reopened.last_rebuild
         assert report.rebuilt == 1
         assert [name for name, _ in report.skipped] == [victim.name]
+        assert {e.id for e in reopened.entries()} == {entries[1].id}
+
+    def test_trace_without_n_threads_is_skipped(self, tmp_path):
+        """A sealed trace whose header frame has a valid CRC but no
+        ``n_threads`` is skipped by the rebuild, never a crash on open."""
+        root = tmp_path / "archive"
+        archive, entries = _populate(root, n=2)
+        victim = archive.path_of(entries[0])
+        data = victim.read_bytes()
+        magic, head = data[:8], struct.Struct("<BI")
+        frame_type, length = head.unpack_from(data, len(magic))
+        body_at = len(magic) + head.size
+        header = json.loads(data[body_at:body_at + length])
+        del header["n_threads"]
+        payload = json.dumps(header).encode("utf-8")
+        victim.write_bytes(
+            magic + head.pack(frame_type, len(payload)) + payload
+            + struct.pack("<I", zlib.crc32(payload))
+            + data[body_at + length + 4:])
+        _corrupt(root, "garbage")
+
+        reopened = TraceArchive(root)
+        report = reopened.last_rebuild
+        assert report.rebuilt == 1
+        assert [name for name, _ in report.skipped] == [victim.name]
+        assert "n_threads" in report.skipped[0][1]
         assert {e.id for e in reopened.entries()} == {entries[1].id}
 
     def test_repeated_corruption_numbers_quarantines(self, tmp_path):

@@ -14,16 +14,17 @@ from repro.observer.trace import (
     iter_trace,
     read_trace,
     trace_version,
-    write_trace,
 )
 from repro.store.format import (
     MAGIC,
     MAX_FRAME_PAYLOAD,
     SegmentWriter,
     iter_trace_v2,
-    read_trace_v2,
+    read_trace_meta,
+    read_trace_prefix,
 )
 
+from ..conftest import V1_XYZ_TRACE as V1_XYZ
 from .conftest import run_workload
 
 _FRAME_HEAD = struct.Struct("<BI")
@@ -36,6 +37,12 @@ def write_v2(path, execution, program="xyz", **kw):
         for m in execution.messages:
             w.write(m)
     return w
+
+
+def frame(frame_type, payload):
+    """One v2 frame around ``payload``, with its CRC."""
+    return (_FRAME_HEAD.pack(frame_type, len(payload)) + payload
+            + _FRAME_CRC.pack(zlib.crc32(payload)))
 
 
 def frame_offsets(path):
@@ -56,7 +63,7 @@ class TestRoundTrip:
         path = tmp_path / "t.rpt"
         w = write_v2(path, execution)
         assert w.count == len(execution.messages)
-        trace = read_trace_v2(path)
+        trace = read_trace(path)
         assert trace.n_threads == execution.n_threads
         assert trace.program == "xyz"
         assert trace.initial == dict(execution.initial_store)
@@ -68,7 +75,7 @@ class TestRoundTrip:
         path = tmp_path / "t.rpt"
         w = write_v2(path, execution, events_per_segment=2)
         assert w.segments >= 2
-        trace = read_trace_v2(path)
+        trace = read_trace(path)
         assert len(trace.messages) == len(execution.messages)
 
     def test_streaming_yields_header_first(self, tmp_path):
@@ -85,15 +92,12 @@ class TestRoundTrip:
 
     def test_compresses_relative_to_v1(self, tmp_path):
         execution, _ = run_workload("counter", seed=1)
-        v1 = tmp_path / "t.trace"
-        v2 = tmp_path / "t.rpt"
-        write_trace(v1, execution.n_threads, execution.initial_store,
-                    execution.messages)
-        write_v2(v2, execution)
+        # the v1 body: the same records as JSON lines, one per message
+        v1_bytes = sum(len(m.to_json()) + 1 for m in execution.messages)
         # tiny traces may not win, but the writer must account its bytes
         w = write_v2(tmp_path / "t2.rpt", execution)
         assert w.bytes_written == (tmp_path / "t2.rpt").stat().st_size
-        assert w.bytes_raw > 0
+        assert 0 < w.bytes_raw <= v1_bytes
 
 
 class TestDispatch:
@@ -101,25 +105,22 @@ class TestDispatch:
 
     def test_trace_version(self, tmp_path):
         execution, _ = run_workload("xyz")
-        v1 = tmp_path / "t.trace"
         v2 = tmp_path / "t.rpt"
-        write_trace(v1, execution.n_threads, execution.initial_store,
-                    execution.messages)
         write_v2(v2, execution)
-        assert trace_version(v1) == 1
+        assert trace_version(V1_XYZ) == 1
         assert trace_version(v2) == 2
 
     def test_read_trace_reads_both(self, tmp_path):
-        execution, _ = run_workload("xyz")
-        v1 = tmp_path / "t.trace"
+        t1 = read_trace(V1_XYZ)
         v2 = tmp_path / "t.rpt"
-        write_trace(v1, execution.n_threads, execution.initial_store,
-                    execution.messages, program="xyz")
-        write_v2(v2, execution)
-        t1, t2 = read_trace(v1), read_trace(v2)
+        with SegmentWriter(v2, t1.n_threads, t1.initial,
+                           program=t1.program) as w:
+            for m in t1.messages:
+                w.write(m)
+        t2 = read_trace(v2)
         assert [m.to_json() for m in t1.messages] == [
             m.to_json() for m in t2.messages]
-        assert t1.initial == t2.initial
+        assert (t1.initial, t1.program) == (t2.initial, t2.program)
 
     def test_iter_trace_streams_v2(self, tmp_path):
         execution, _ = run_workload("xyz")
@@ -167,7 +168,7 @@ class TestWriterLifecycle:
         assert w._fh is None
         # the unsealed partial file has no footer, so reading it fails
         with pytest.raises(TraceFormatError, match="footer"):
-            read_trace_v2(path)
+            read_trace(path)
 
     def test_rejects_bad_segment_size(self, tmp_path):
         with pytest.raises(ValueError):
@@ -292,6 +293,57 @@ class TestCorruption:
         path.write_bytes(blob)
         with pytest.raises(TraceFormatError, match="malformed message"):
             list(iter_trace_v2(path))
+
+    #: Header defects every v2 reader must reject alike: (frames, error).
+    BAD_HEADERS = {
+        "wrong-version": (
+            [frame(0x01, json.dumps({"version": 3, "n_threads": 1,
+                                     "initial": {}}).encode())],
+            "unsupported trace version 3"),
+        "no-n_threads": (
+            [frame(0x01, json.dumps({"version": 2,
+                                     "initial": {}}).encode())],
+            "lacks the mandatory 'n_threads'"),
+        "non-integer-n_threads": (
+            [frame(0x01, json.dumps({"version": 2, "n_threads": "two",
+                                     "initial": {}}).encode())],
+            "n_threads must be an integer"),
+        "non-object": (
+            [frame(0x01, b"[2, 1]")],
+            "must be a JSON object"),
+        "not-first": (
+            [frame(0x02, gzip.compress(b"")),
+             frame(0x01, json.dumps({"version": 2, "n_threads": 1,
+                                     "initial": {}}).encode())],
+            "first frame must be the header"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    @pytest.mark.parametrize("reader", [
+        lambda p: list(iter_trace_v2(p)), read_trace_prefix, read_trace_meta,
+    ], ids=["iter_trace_v2", "read_trace_prefix", "read_trace_meta"])
+    def test_bad_header_rejected_by_every_reader(self, tmp_path, reader,
+                                                 case):
+        frames, problem = self.BAD_HEADERS[case]
+        footer = frame(0x03, json.dumps({"events": 0,
+                                         "segments": 0}).encode())
+        path = tmp_path / "t.rpt"
+        path.write_bytes(MAGIC + b"".join(frames) + footer)
+        with pytest.raises(TraceFormatError, match=problem) as exc:
+            reader(path)
+        assert exc.value.offset == len(MAGIC)
+
+    @pytest.mark.parametrize("reader", [
+        lambda p: list(iter_trace_v2(p)), read_trace_meta,
+    ], ids=["iter_trace_v2", "read_trace_meta"])
+    def test_non_integer_footer_count(self, tmp_path, reader):
+        header = json.dumps({"version": 2, "n_threads": 1,
+                             "initial": {}}).encode()
+        footer = json.dumps({"events": "0", "segments": 0}).encode()
+        path = tmp_path / "t.rpt"
+        path.write_bytes(MAGIC + frame(0x01, header) + frame(0x03, footer))
+        with pytest.raises(TraceFormatError, match="footer events"):
+            reader(path)
 
     def test_v1_error_spans_still_line_based(self, tmp_path):
         path = tmp_path / "t.trace"

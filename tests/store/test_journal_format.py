@@ -12,13 +12,12 @@ import struct
 
 import pytest
 
-from repro.observer.trace import TraceFormatError
+from repro.observer.trace import TraceFormatError, read_trace
 from repro.store.format import (
     MAGIC,
     SegmentWriter,
     read_trace_meta,
     read_trace_prefix,
-    read_trace_v2,
 )
 
 from .conftest import run_workload
@@ -59,7 +58,7 @@ class TestCheckpoint:
             w.write(m)
             assert w.checkpoint(fsync=False) == w.count
         w.close()
-        trace = read_trace_v2(w.path)
+        trace = read_trace(w.path)
         assert len(trace.messages) == len(execution.messages)
 
     def test_checkpoint_after_close_raises(self, tmp_path):

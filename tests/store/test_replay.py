@@ -22,6 +22,7 @@ from repro.store import (
     verify_entry,
 )
 
+from ..conftest import V1_XYZ_TRACE
 from .conftest import SEEDS, WORKLOADS, run_workload
 
 
@@ -86,16 +87,12 @@ class TestReAnalysis:
         assert result.program == "bank"
         assert result.events == entry.events
 
-    def test_replay_plain_trace_file(self, tmp_path):
-        from repro.observer.trace import write_trace
-
-        execution, spec = run_workload("xyz")
-        path = tmp_path / "t.trace"   # v1 file: replay handles both formats
-        write_trace(path, execution.n_threads, execution.initial_store,
-                    execution.messages, program="xyz")
-        result = replay_trace(path, spec=spec)
+    def test_replay_plain_trace_file(self):
+        # a v1 file: replay handles both formats
+        _, spec = run_workload("xyz")
+        result = replay_trace(V1_XYZ_TRACE, spec=spec)
         assert result.violations == 1
-        assert result.events == len(execution.messages)
+        assert result.events == 4
 
 
 class TestRegressionCorpus:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.store.format import MAGIC
+
+from .conftest import V1_XYZ_TRACE
 
 
 def run_cli(*argv):
@@ -65,6 +68,31 @@ class TestRecordCheck:
         code, out = run_cli("check", str(trace), "--spec", "x > 0")
         assert code == 2
         assert out.startswith("error: ")
+
+
+class TestTraceFormats:
+    """``record`` writes v2; a v1 file still reads through every command
+    that takes a trace."""
+
+    SPEC = "(x > 0) -> [y == 0, y > z)"
+
+    def test_record_writes_v2(self, tmp_path):
+        trace = tmp_path / "t.trace"
+        run_cli("record", "xyz", str(trace))
+        assert trace.read_bytes().startswith(MAGIC)
+
+    def test_v1_trace_checks_and_imports(self, tmp_path):
+        code, out = run_cli("check", str(V1_XYZ_TRACE), "--spec", self.SPEC)
+        assert code == 1
+        assert "violations: 1" in out
+        archive = str(tmp_path / "a")
+        code, out = run_cli("archive", archive, "--import-trace",
+                            str(V1_XYZ_TRACE), "--spec", self.SPEC)
+        assert code == 0
+        assert "4 events" in out and "1 violation(s)" in out
+        code, out = run_cli("replay", archive, "--all", "--expect-catalog")
+        assert code == 0
+        assert "all verdicts reproduced exactly" in out
 
 
 class TestSpecVariableMissing:

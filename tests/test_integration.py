@@ -21,6 +21,8 @@ from repro.observer import Observer, ReorderingChannel, deliver_all
 from repro.sched import RandomScheduler, run_program
 from repro.workloads import random_program
 
+from .conftest import V1_XYZ_TRACE
+
 SPECS = [
     "historically(v0 >= 0)",
     "start(v0 > 0) -> once(v1 > 0)",
@@ -139,10 +141,10 @@ def test_observed_run_is_in_lattice(seed):
 
 
 class TestSocketEndToEnd:
-    def test_trace_socket_observer_agree(self, tmp_path):
+    def test_trace_socket_observer_agree(self):
         """record → socket → analysis server and record → file → builder
         agree."""
-        from repro.observer.trace import read_trace, write_trace
+        from repro.observer.trace import read_trace
         from repro.server import AnalysisServer, ServerConfig, attach
         from repro.sched import FixedScheduler
         from repro.workloads import (
@@ -160,10 +162,10 @@ class TestSocketEndToEnd:
                         spec=XYZ_PROPERTY) as session:
                 for m in execution.messages:
                     session.send(m)
-        # via trace file
-        path = tmp_path / "t.trace"
-        write_trace(path, 2, execution.initial_store, execution.messages)
-        trace = read_trace(path)
+        # via trace file: the same run, recorded as v1 JSON lines
+        trace = read_trace(V1_XYZ_TRACE)
+        assert [m.to_json() for m in trace.messages] == \
+            [m.to_json() for m in execution.messages]
         b = LevelByLevelBuilder(2, {"x": -1, "y": 0, "z": 0},
                                 Monitor(XYZ_PROPERTY))
         b.feed_many(trace.messages)
