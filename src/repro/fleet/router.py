@@ -45,7 +45,12 @@ from typing import Optional
 from .. import __version__ as _repro_version
 from ..obs import metrics as _metrics
 from ..server.client import fetch_status
-from ..server.protocol import ProtocolError, encode_frame, read_frame_line
+from ..server.protocol import (
+    ProtocolError,
+    encode_frame,
+    read_frame_line,
+    set_nodelay,
+)
 from .config import SESSION_STRIDE, FleetConfig, shard_of_session
 from .hashring import HashRing
 from .shards import ShardSupervisor
@@ -180,6 +185,7 @@ class FleetRouter:
                                  _errno.ENOTSOCK):
                     return
                 continue
+            set_nodelay(conn)
             t = threading.Thread(
                 target=self._serve_connection, args=(conn,),
                 name=f"repro-fleet-conn-{addr[1]}", daemon=True)
@@ -326,6 +332,7 @@ class FleetRouter:
                 (host, port), timeout=self.config.heartbeat_timeout + 5.0)
         except OSError:
             return None
+        set_nodelay(sock)
         try:
             sock.sendall(encode_frame(frame))
             reply = read_frame_line(sock)

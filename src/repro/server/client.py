@@ -43,7 +43,13 @@ from ..observer.reliable import (
     ReliableTransportError,
     RetransmitConfig,
 )
-from .protocol import Hello, ProtocolError, encode_frame, read_frame_line
+from .protocol import (
+    Hello,
+    ProtocolError,
+    encode_frame,
+    read_frame_line,
+    set_nodelay,
+)
 
 __all__ = ["ServerRejected", "ResultTimeout", "ReconnectPolicy",
            "SessionVerdict", "AttachedSession", "attach", "fetch_status"]
@@ -121,6 +127,7 @@ class SessionVerdict:
 def _handshake(host: str, port: int, hello: Hello,
                timeout: float) -> tuple[socket.socket, dict]:
     sock = socket.create_connection((host, port), timeout=timeout)
+    set_nodelay(sock)
     try:
         sock.sendall(encode_frame(hello.to_frame()))
         reply = read_frame_line(sock)

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 from .. import __version__ as _repro_version
 from ..obs import metrics as _metrics
 from ..observer.reliable import FrameDecoder, ReliableTransportError, _frame
-from .protocol import Hello, ProtocolError, encode_frame
+from .protocol import Hello, ProtocolError, encode_frame, set_nodelay
 from .recovery import SessionJournal, scan_journals
 from .session import Session, SessionState
 from .supervisor import SupervisedSession, SupervisorConfig
@@ -497,6 +497,7 @@ class AnalysisServer:
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             except OSError:
                 pass
+            set_nodelay(conn)
             t = threading.Thread(
                 target=self._serve_connection, args=(conn, addr),
                 name=f"repro-server-conn-{addr[1]}", daemon=True)

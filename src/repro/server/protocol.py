@@ -54,6 +54,13 @@ line — so the client can complete it before handing the socket to
 :class:`~repro.observer.reliable.ReliableSender`, whose ack-reader thread
 then owns the receive direction.
 
+Every served-path TCP socket — the client's, the daemon's accepted ones
+and both legs of the fleet router — sets ``TCP_NODELAY``
+(:func:`set_nodelay`).  Each frame is one whole ``sendall``; left on,
+Nagle's algorithm holds a small frame (``fin``, ``result``, ``finack``)
+written behind an unacknowledged one until the peer's delayed ACK fires,
+40 ms or more on Linux, which would floor every session's close latency.
+
 Resume semantics: the session *epoch* counts connections (1 on first
 attach, +1 per successful resume), so a stale reader thread or a stale
 client can always be told apart from the current one; the *token* is a
@@ -78,6 +85,7 @@ __all__ = [
     "Hello",
     "encode_frame",
     "read_frame_line",
+    "set_nodelay",
 ]
 
 #: Bumped on incompatible changes to the session frames; a server rejects
@@ -87,6 +95,11 @@ PROTOCOL_VERSION = 1
 #: Upper bound on one handshake line — a hello carries a program name and
 #: an initial store, not a trace, so anything larger is a framing error.
 MAX_FRAME_BYTES = 1 << 20
+
+#: How far one ``MSG_PEEK`` looks for the handshake line's newline; a
+#: hello or helloack is a few hundred bytes, so one peek nearly always
+#: finds it.
+_PEEK_BYTES = 4096
 
 
 class ProtocolError(ValueError):
@@ -99,24 +112,48 @@ def encode_frame(obj: dict) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def set_nodelay(sock: socket.socket) -> None:
+    """Turn Nagle's algorithm off on one served-path TCP socket.
+
+    A socket that cannot take the option (its peer already gone) is left
+    as it is: it fails on its first read, where the caller handles it.
+    """
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass
+
+
 def read_frame_line(sock: socket.socket,
                     max_bytes: int = MAX_FRAME_BYTES) -> dict:
     """Read exactly one newline-terminated JSON frame from ``sock``.
 
-    Byte-at-a-time on purpose: the handshake is one line each way and must
-    not read ahead into the reliable stream that follows it (a buffered
-    reader would steal the first data frames).
+    Nothing past the newline is consumed: the handshake is one line each
+    way, and the reliable stream behind it belongs to another reader (a
+    buffered reader would steal its first data frames).  Each round peeks
+    at what has arrived and then takes exactly up to the newline, or the
+    whole peeked chunk when it holds none — two ``recv`` calls per
+    segment, not one per byte.
     """
     buf = bytearray()
     while True:
-        b = sock.recv(1)
-        if not b:
+        peek = sock.recv(min(_PEEK_BYTES, max_bytes + 1 - len(buf)),
+                         socket.MSG_PEEK)
+        if not peek:
             raise ProtocolError(
                 "connection closed mid-handshake "
                 f"(after {len(buf)} bytes, no newline)")
-        if b == b"\n":
+        end = peek.find(b"\n") + 1   # 0: no newline in this chunk
+        want = end or len(peek)
+        while want:   # the peeked bytes are queued: these never block
+            chunk = sock.recv(want)
+            if not chunk:
+                raise ProtocolError("connection closed mid-handshake")
+            buf += chunk
+            want -= len(chunk)
+        if end:
+            del buf[-1]
             break
-        buf += b
         if len(buf) > max_bytes:
             raise ProtocolError(f"handshake line exceeds {max_bytes} bytes")
     try:

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -65,10 +66,74 @@ class TestHello:
             Hello.from_frame(d)
 
 
+class _CountingSocket:
+    """Forwards ``recv`` to a real socket and counts the calls."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.recvs = 0
+
+    def recv(self, n, flags=0):
+        self.recvs += 1
+        return self.sock.recv(n, flags)
+
+
+def _tcp_pair():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        a = socket.create_connection(listener.getsockname())
+        b, _ = listener.accept()
+    return a, b
+
+
 class TestReadFrameLine:
     def _pipe(self):
         a, b = socket.socketpair()
         return a, b
+
+    def test_one_segment_line_takes_two_recvs(self):
+        a, b = self._pipe()
+        try:
+            a.sendall(encode_frame({"t": "helloack", "pad": "x" * 150}))
+            counting = _CountingSocket(b)
+            assert read_frame_line(counting)["t"] == "helloack"
+            assert counting.recvs == 2   # one peek, one exact read
+        finally:
+            a.close(); b.close()
+
+    def test_data_frame_behind_helloack_stays_in_tcp_socket(self):
+        a, b = _tcp_pair()
+        try:
+            data = b'{"t":"msg","seq":0}\n'
+            a.sendall(encode_frame({"t": "helloack", "session": 7}) + data)
+            assert read_frame_line(b) == {"t": "helloack", "session": 7}
+            b.settimeout(5.0)
+            got = b""
+            while len(got) < len(data):
+                got += b.recv(len(data) - len(got))
+            assert got == data
+        finally:
+            a.close(); b.close()
+
+    def test_line_split_across_tcp_writes(self):
+        a, b = _tcp_pair()
+        a.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        line = encode_frame({"t": "hello", "program": "xyz" * 40})
+        pieces = [line[:5], line[5:60], line[60:]]
+
+        def feed():
+            for piece in pieces:
+                a.sendall(piece)
+                time.sleep(0.02)
+
+        try:
+            t = threading.Thread(target=feed, daemon=True)
+            t.start()
+            b.settimeout(5.0)
+            assert read_frame_line(b) == json.loads(line)
+            t.join(5.0)
+            assert not t.is_alive()
+        finally:
+            a.close(); b.close()
 
     def test_reads_exactly_one_line(self):
         a, b = self._pipe()
