@@ -5,12 +5,19 @@ process: :class:`ReliableSender` on the program's side, and on the
 observer's side the analysis server (:mod:`repro.server`), which runs one
 :class:`FrameDecoder` per client connection.  On top of TCP it adds:
 
-* every payload rides a sequence-numbered, CRC-checked frame;
-* the receiver acks each frame it accepts; duplicates (frames a resumed
-  connection replays) are re-acked and dropped;
+* messages ride sequence-numbered, CRC-checked *batch* frames: one frame
+  carries a burst of consecutive messages, one per payload line, and the
+  CRC covers the whole payload;
+* the receiver acks each frame it accepts once, with the seq of its last
+  message; messages below the receiver's delivered count (a resumed
+  connection's replay) are dropped as duplicates and the frame re-acked;
 * acks are watermarks: TCP and the decoder are both in order, so an ack
-  for ``seq`` means every frame up to ``seq`` has arrived, and the
+  for ``seq`` means every message up to ``seq`` has arrived, and the
   in-flight window is the count ``next_seq - acked``;
+* batching needs no timer: a message goes out at once when no data frame
+  is unacked, and otherwise joins a pending batch that leaves as soon as
+  the next ack arrives (or ahead of the fin).  Each batch is therefore
+  whatever piled up during one round trip, at most ``window`` messages;
 * the window is bounded: :meth:`ReliableSender.send` blocks (backpressure)
   when it is full, so a slow receiver bounds the sender's buffer, and a
   receiver that stops acking for :data:`SEND_WAIT_TIMEOUT` seconds fails
@@ -22,17 +29,20 @@ observer's side the analysis server (:mod:`repro.server`), which runs one
 
 There is no retransmission timer: a live TCP connection never loses a
 frame, so a frame can only go missing with its connection.  A frame that
-fails its CRC, carries a payload that does not decode, or skips ahead of
+fails its CRC, carries a line that does not decode, or skips ahead of
 the next expected ``seq`` therefore breaks the connection
-(:class:`FrameDecoder` raises), and an EOF before the ``finack`` fails
-the sender.  Recovering from a lost connection is the caller's job: the
-analysis server's client keeps a resume buffer and replays it on a new
-connection (:mod:`repro.server.client`).
+(:class:`FrameDecoder` raises, and delivers none of that frame's
+messages); on the other side, a reverse line that is not a JSON object
+or an ack for a seq never sent fails the sender, and so does an EOF
+before the ``finack``.  Recovering from a lost connection is the
+caller's job: the analysis server's client keeps a resume buffer and
+replays it on a new connection (:mod:`repro.server.client`).
 
 Wire format: newline-delimited JSON frames over TCP ::
 
-    {"t": "msg", "seq": 3, "crc": 123, "payload": "<Message.to_json()>"}
-    {"t": "ack", "seq": 3}
+    {"t": "msgs", "seq": 3, "crc": 123,
+     "payload": "<Message.to_json() of seq 3>\n<... of seq 4>\n<... of seq 5>"}
+    {"t": "ack", "seq": 5}
     {"t": "hb"}
     {"t": "fin", "count": 17}
     {"t": "finack"}
@@ -60,9 +70,12 @@ __all__ = ["RetransmitConfig", "ReliableSender", "FrameDecoder",
 _C_FRAMES = _metrics.REGISTRY.counter(
     "reliable.frames_sent", unit="frames",
     help="data frames first-sent by the reliable sender")
+_H_FRAME_MSGS = _metrics.REGISTRY.histogram(
+    "reliable.frame_messages", unit="messages",
+    help="messages per data frame, observed by the sender")
 _C_RETRANS = _metrics.REGISTRY.counter(
-    "reliable.retransmissions", unit="frames",
-    help="frames re-sent by a resume on a new connection")
+    "reliable.retransmissions", unit="messages",
+    help="messages re-sent by a resume on a new connection")
 _C_HEARTBEATS = _metrics.REGISTRY.counter(
     "reliable.heartbeats", unit="frames",
     help="idle heartbeats sent")
@@ -70,14 +83,15 @@ _C_ACKS = _metrics.REGISTRY.counter(
     "reliable.acks", unit="frames",
     help="acks received by the sender")
 _G_INFLIGHT = _metrics.REGISTRY.gauge(
-    "reliable.window_inflight", unit="frames",
-    help="unacked frames in flight (max = window pressure)")
+    "reliable.window_inflight", unit="messages",
+    help="unacked messages, sent or pending (max = window pressure)")
 _C_RECV_MSGS = _metrics.REGISTRY.counter(
     "reliable.recv_messages", unit="messages",
     help="messages delivered in order by the reliable receiver")
 _C_RECV_DUPS = _metrics.REGISTRY.counter(
-    "reliable.recv_duplicates", unit="frames",
-    help="duplicate frames re-acked and dropped by the receiver")
+    "reliable.recv_duplicates", unit="messages",
+    help="duplicate messages (below the delivered count) dropped by the "
+         "receiver")
 _C_RECV_CORRUPT = _metrics.REGISTRY.counter(
     "reliable.recv_corrupt_frames", unit="frames",
     help="frames the receiver rejected (bad JSON, shape, CRC or payload)")
@@ -110,9 +124,11 @@ class RetransmitConfig:
     """Flow-control knobs for :class:`ReliableSender`.
 
     Attributes:
-        window: maximum unacked frames in flight.  When full,
+        window: maximum unacked messages, sent or pending.  When full,
             :meth:`ReliableSender.send` *blocks* — backpressure, so a slow
-            receiver bounds the sender's buffer instead of growing it.
+            receiver bounds the sender's buffer instead of growing it.  A
+            data frame therefore never carries more than ``window``
+            messages.
         heartbeat_interval: idle period (seconds) after which a heartbeat
             frame is sent; ``None`` disables heartbeats.
     """
@@ -140,11 +156,11 @@ class FrameDecoder:
     (:mod:`repro.server`) runs one decoder per client connection.
 
     The connection is TCP, so frames arrive intact and in order.  A line
-    that is not a valid frame, fails its CRC, carries a payload that is
-    not a :class:`Message`, or skips ahead of the next expected ``seq``
-    means the connection itself is broken:
-    :meth:`feed_line` raises :class:`ReliableTransportError` and the
-    caller drops the connection.
+    that is not a valid frame, fails its CRC, carries a payload line that
+    is not a :class:`Message`, or skips ahead of the next expected ``seq``
+    means the connection itself is broken: :meth:`feed_line` raises
+    :class:`ReliableTransportError`, delivers none of that frame's
+    messages, and the caller drops the connection.
 
     Args:
         send: callable taking raw frame ``bytes`` — used to emit acks back
@@ -158,8 +174,8 @@ class FrameDecoder:
             overload without acking the frame that overflowed it).
         start_seq: first sequence number this decoder will deliver.  A
             resumed session hands the peer's already-delivered count here,
-            so replayed frames below it are re-acked as duplicates instead
-            of being delivered twice.
+            so replayed messages below it are dropped as duplicates (and
+            their frame re-acked) instead of being delivered twice.
     """
 
     def __init__(self, send: Callable[[bytes], None],
@@ -202,8 +218,8 @@ class FrameDecoder:
         if not isinstance(d, dict):
             raise self._corrupt("not a JSON object")
         kind = d.get("t")
-        if kind == "msg":
-            self._on_msg_frame(d)
+        if kind == "msgs":
+            self._on_batch(d)
             return None
         if kind == "hb":
             return None
@@ -218,42 +234,55 @@ class FrameDecoder:
             _C_RECV_CORRUPT.inc()
         return ReliableTransportError(f"corrupt frame: {what}")
 
-    def _on_msg_frame(self, d: dict) -> None:
+    def _on_batch(self, d: dict) -> None:
         seq, payload = d.get("seq"), d.get("payload")
         if not isinstance(seq, int) or not isinstance(payload, str):
-            raise self._corrupt("msg without an int seq and a str payload")
+            raise self._corrupt("msgs without an int seq and a str payload")
         if zlib.crc32(payload.encode("utf-8")) != d.get("crc"):
             raise self._corrupt(f"seq {seq} failed its CRC")
         if seq > self._next_deliver:
             raise ReliableTransportError(
                 f"frame seq {seq} skips ahead of seq {self._next_deliver}")
-        if seq < self._next_deliver:
-            self.duplicates += 1
-            if _metrics.ENABLED:
-                _C_RECV_DUPS.inc()
-        else:
+        lines = payload.split("\n")
+        # a replay that straddles the delivered count: only its suffix is new
+        dups = min(self._next_deliver - seq, len(lines))
+        fresh = []
+        for i in range(dups, len(lines)):
+            text = lines[i]
             try:
-                msg = Message.from_json(payload)
+                msg = Message.from_json(text)
             except Exception as exc:  # noqa: BLE001 - any decode failure
                 raise self._corrupt(
-                    f"seq {seq} payload is not a message: {exc!r}") from exc
-            if not payload.isascii() or "\n" in payload or "\r" in payload:
+                    f"seq {seq + i} payload is not a message: {exc!r}"
+                ) from exc
+            if not text.isascii() or "\r" in text:
                 # stored as one line of a trace segment: any other layout
                 # of the same JSON is replaced by the canonical encoding
-                payload = msg.to_json()
+                text = msg.to_json()
+            fresh.append((msg, text))
+        if dups:
+            self.duplicates += dups
             if _metrics.ENABLED:
-                _C_RECV_MSGS.inc()
-            if self._on_message is not None:
-                self._on_message(msg, payload)
+                _C_RECV_DUPS.inc(dups)
+        if _metrics.ENABLED and fresh:
+            _C_RECV_MSGS.inc(len(fresh))
+        on_message = self._on_message
+        for msg, text in fresh:
+            if on_message is not None:
+                on_message(msg, text)
             self._next_deliver += 1
-        self._send(_frame({"t": "ack", "seq": seq}))
+        self._send(_frame({"t": "ack", "seq": seq + len(lines) - 1}))
 
 
 class ReliableSender:
     """The instrumented-program side: send messages, learn they arrived.
 
-    ``send`` is single-caller: frames must reach the socket in ``seq``
-    order, as Algorithm A's sink produces them.
+    ``send`` is single-caller: messages take their ``seq`` in call order,
+    as Algorithm A's sink produces them.  A message goes out at once when
+    no data frame is unacked; otherwise it joins a pending batch, which
+    the ack reader sends when the next ack arrives and :meth:`close` sends
+    ahead of the fin.  Whichever thread flushes holds the socket lock from
+    taking the batch to writing it, so frames leave in seq order.
 
     Args:
         sock: the connected socket to the receiver.  The client
@@ -266,10 +295,11 @@ class ReliableSender:
             an ``err`` frame fails the transport with the peer's reason).
             The server uses this channel to push ``ckpt`` frames and the
             session's final ``result`` frame back to the client.
-        first_seq: sequence number of the first frame this sender emits.
-            A resuming client sets it to the server's delivered count so
-            replayed messages keep their original sequence numbers (and
-            :meth:`close`'s fin count stays the absolute stream total).
+        first_seq: sequence number of the first message this sender
+            emits.  A resuming client sets it to the server's delivered
+            count so replayed messages keep their original sequence
+            numbers (and :meth:`close`'s fin count stays the absolute
+            stream total).
     """
 
     def __init__(
@@ -285,11 +315,17 @@ class ReliableSender:
         self.config = config if config is not None else RetransmitConfig()
         self._on_frame = on_frame
         self._sock = sock
-        self._sock_lock = threading.Lock()
+        #: held by a flush from taking its batch to writing it, and again
+        #: inside :meth:`_transmit`, hence re-entrant
+        self._sock_lock = threading.RLock()
         self._window = self.config.window
 
         self._cond = threading.Condition()
         self._next_seq = first_seq
+        #: messages put in a data frame so far: every seq below it is on
+        #: the wire, the ones from it on wait in ``_pending``
+        self._sent = first_seq
+        self._pending: list[str] = []
         #: ack watermark: every seq below it has reached the receiver
         self._acked = first_seq
         self._failed: Optional[str] = None
@@ -298,7 +334,7 @@ class ReliableSender:
         #: set once the sender is finished or failed; stops the heartbeats
         self._done = threading.Event()
         self._last_activity = time.monotonic()
-        #: frames re-sent by :meth:`resend` (a resume's replay)
+        #: messages re-sent by :meth:`resend` (a resume's replay)
         self.retransmissions = 0
         self.heartbeats_sent = 0
 
@@ -330,17 +366,17 @@ class ReliableSender:
                     try:
                         d = json.loads(line)
                     except ValueError:
-                        continue
-                    kind = d.get("t") if isinstance(d, dict) else None
+                        d = None
+                    if not isinstance(d, dict):
+                        reason = (f"bad frame from the receiver: {line[:80]!r}"
+                                  " is not a JSON object")
+                        break
+                    kind = d.get("t")
                     if kind == "ack":
-                        seq = d.get("seq")
-                        with self._cond:
-                            if isinstance(seq, int) and seq >= self._acked:
-                                self._acked = seq + 1
-                                self._cond.notify_all()
-                            if _metrics.ENABLED:
-                                _C_ACKS.inc()
-                                _G_INFLIGHT.set(self._next_seq - self._acked)
+                        bad = self._on_ack(d.get("seq"))
+                        if bad:
+                            reason = bad
+                            break
                     elif kind == "finack":
                         with self._cond:
                             self._fin_acked = True
@@ -358,6 +394,44 @@ class ReliableSender:
             self._done.set()
         else:
             self._fail(reason)
+
+    def _on_ack(self, seq) -> Optional[str]:
+        """Advance the watermark and send the pending batch, if any; an
+        ack for a seq that was never sent returns the failure reason."""
+        with self._cond:
+            if not isinstance(seq, int) or not 0 <= seq < self._sent:
+                return (f"bad ack from the receiver: seq {seq!r}, but "
+                        f"{self._sent} message(s) were sent")
+            if seq >= self._acked:
+                self._acked = seq + 1
+                self._cond.notify_all()
+            if _metrics.ENABLED:
+                _C_ACKS.inc()
+                _G_INFLIGHT.set(self._next_seq - self._acked)
+            pending = bool(self._pending)
+        if pending:
+            self._flush()
+        return None
+
+    def _flush(self) -> None:
+        """Send every pending message as one data frame."""
+        with self._sock_lock:
+            with self._cond:
+                batch = self._pending
+                if not batch or self._failed:
+                    return
+                self._pending = []
+                seq = self._sent
+                self._sent += len(batch)
+            if _metrics.ENABLED:
+                _C_FRAMES.inc()
+                _H_FRAME_MSGS.observe(len(batch))
+            payload = "\n".join(batch)
+            self._transmit(_frame({
+                "t": "msgs", "seq": seq,
+                "crc": zlib.crc32(payload.encode("utf-8")),
+                "payload": payload,
+            }))
 
     def _timer_loop(self) -> None:
         """Heartbeats: one ``hb`` frame per idle ``heartbeat_interval``."""
@@ -382,7 +456,8 @@ class ReliableSender:
             with self._sock_lock:
                 self._sock.sendall(frame)
         except OSError as exc:
-            self._ack_thread.join(_ERR_GRACE)
+            if threading.current_thread() is not self._ack_thread:
+                self._ack_thread.join(_ERR_GRACE)
             self._fail(f"socket send failed: {exc}")
 
     def _raise_if_failed(self) -> None:
@@ -411,17 +486,15 @@ class ReliableSender:
                         break
                     self._cond.wait(remaining)
                 self._raise_if_failed()
-            seq = self._next_seq
             self._next_seq += 1
+            self._pending.append(payload)
             self._last_activity = time.monotonic()
+            # with a data frame unacked, its ack sends this message
+            idle = self._sent == self._acked
             if _metrics.ENABLED:
-                _C_FRAMES.inc()
                 _G_INFLIGHT.set(self._next_seq - self._acked)
-        self._transmit(_frame({
-            "t": "msg", "seq": seq,
-            "crc": zlib.crc32(payload.encode("utf-8")),
-            "payload": payload,
-        }))
+        if idle:
+            self._flush()
         self._raise_if_failed()
 
     def resend(self, messages: Iterable[Message]) -> None:
@@ -434,8 +507,8 @@ class ReliableSender:
                 _C_RETRANS.inc()
 
     def close(self, timeout: float = 10.0) -> None:
-        """Send the fin, wait up to ``timeout`` for the finack, and close
-        the socket.
+        """Send the pending batch and the fin, wait up to ``timeout`` for
+        the finack, and close the socket.
 
         TCP delivers in order, so the finack means the receiver took every
         frame before the fin.  Raises :class:`ReliableTransportError` if
@@ -445,6 +518,7 @@ class ReliableSender:
         with self._cond:
             self._closing = True
             count = self._next_seq
+        self._flush()
         if not self._failed:
             self._transmit(_frame({"t": "fin", "count": count}))
         with self._cond:

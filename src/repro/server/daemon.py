@@ -813,7 +813,7 @@ class AnalysisServer:
                         self._drain_to_eof(conn, reader)
                     return
                 # any other control frame mid-stream is ignored: the
-                # reliable sender only emits msg/hb/fin after the handshake
+                # reliable sender only emits msgs/hb/fin after the handshake
         except ReliableTransportError as exc:
             session.send_frame({"t": "err", "reason": str(exc)})
             raise

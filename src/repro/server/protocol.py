@@ -1,11 +1,13 @@
 """Wire protocol of the multi-session analysis server.
 
 Everything rides the reliable transport's newline-delimited JSON framing
-(:mod:`repro.observer.reliable`): data frames (``msg``/``ack``/``hb``/
-``fin``/``finack``) are unchanged, and this module adds the *session*
-frames exchanged around them.  The server acks every accepted ``msg``
-frame; since TCP and the frame decoder are both in order, an ack for
-``seq`` is a watermark — every frame up to ``seq`` has arrived:
+(:mod:`repro.observer.reliable`): the data frames (``msgs``/``ack``/
+``hb``/``fin``/``finack``) are defined there, and this module adds the
+*session* frames exchanged around them.  A ``msgs`` frame carries a batch of
+consecutive messages under one CRC, and the server acks each accepted
+one once, with the seq of its last message; since TCP and the frame
+decoder are both in order, an ack for ``seq`` is a watermark — every
+message up to ``seq`` has arrived:
 
 ============  =========  ====================================================
 frame         direction  meaning
@@ -67,9 +69,9 @@ client can always be told apart from the current one; the *token* is a
 random capability string minted at admission — presenting it is what
 authorizes a reconnecting client to reclaim the session.  The resume is
 the only resend: the client replays its buffer from the server's
-``delivered`` count, and replayed ``msg`` frames below that count are
-re-acked as duplicates by the frame decoder, which makes the replay
-idempotent.
+``delivered`` count, and replayed messages below that count are dropped
+as duplicates by the frame decoder (their frame still acked), which makes
+the replay idempotent.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ __all__ = [
     "set_nodelay",
 ]
 
-#: Bumped on incompatible changes to the session frames; a server rejects
-#: hellos from a different major version with an explicit reason.
-PROTOCOL_VERSION = 1
+#: Bumped on incompatible changes to the session or data frames; a server
+#: rejects hellos from a different major version with an explicit reason.
+#: Version 2 replaced the per-message ``msg`` frame with the batch ``msgs``.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one handshake line — a hello carries a program name and
 #: an initial store, not a trace, so anything larger is a framing error.

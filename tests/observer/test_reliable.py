@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import socket
+import sys
 import threading
 import time
 import zlib
@@ -42,18 +43,28 @@ def messages(execution):
     return execution.messages
 
 
-def decoding_pair(config=None):
+def decoding_pair(config=None, hold_first_ack=None, frames=None):
     """A :class:`ReliableSender` on one end of a socket pair and a
     :class:`FrameDecoder` peer on the other that acks every frame and
-    answers the fin.  Returns ``(sender, decoder, delivered, peer)``."""
+    answers the fin.  With ``hold_first_ack`` (an event) the peer writes
+    no ack until it is set; ``frames`` collects every data frame the peer
+    reads.  Returns ``(sender, decoder, delivered, peer)``."""
     ours, theirs = socket.socketpair()
     delivered = []
-    decoder = FrameDecoder(send=theirs.sendall,
+
+    def send_ack(frame):
+        if hold_first_ack is not None:
+            hold_first_ack.wait(10.0)
+        theirs.sendall(frame)
+
+    decoder = FrameDecoder(send=send_ack,
                            on_message=lambda msg, _text: delivered.append(msg))
 
     def serve():
         with theirs, theirs.makefile("r", encoding="utf-8") as lines:
             for line in lines:
+                if frames is not None and line.startswith('{"t": "msgs"'):
+                    frames.append(json.loads(line))
                 frame = decoder.feed_line(line)
                 if frame is not None and frame["t"] == "fin":
                     theirs.sendall(b'{"t": "finack"}\n')
@@ -104,6 +115,80 @@ class TestCleanWire:
         assert len(got) == 4
         sender._ack_thread.join(5.0)
         assert sender._sock.fileno() == -1
+
+
+class TestBatching:
+    """A message goes out at once when no data frame is unacked; behind an
+    unacked frame it joins a batch that the next ack sends."""
+
+    def test_one_held_ack_makes_two_frames(self, messages):
+        held = threading.Event()
+        frames = []
+        sender, decoder, got, peer = decoding_pair(hold_first_ack=held,
+                                                   frames=frames)
+        stream = list(itertools.islice(itertools.cycle(messages), 50))
+        for m in stream:
+            sender.send(m)
+        held.set()
+        sender.close()
+        peer.join(10.0)
+        assert not peer.is_alive()
+        assert [(f["seq"], len(f["payload"].split("\n"))) for f in frames] \
+            == [(0, 1), (1, 49)]
+        assert [m.to_json() for m in got] == [m.to_json() for m in stream]
+        assert decoder.complete
+
+    def test_a_pending_batch_leaves_without_another_send(self, messages):
+        held = threading.Event()
+        sender, _decoder, got, peer = decoding_pair(hold_first_ack=held)
+        sender.send(messages[0])
+        sender.send(messages[1])    # behind the unacked first frame
+        _wait_for(lambda: len(got) == 1)
+        held.set()
+        _wait_for(lambda: len(got) == 2)
+        sender.close()
+        peer.join(10.0)
+        assert [m.event.eid for m in got] == \
+            [m.event.eid for m in messages[:2]]
+
+    def test_concurrent_flushes_keep_seq_order(self, messages):
+        """The sending thread, the ack reader and the heartbeat timer all
+        write; under a tiny switch interval, with more streams than cores,
+        every frame still starts where the last one ended, and none
+        carries more than the window."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            config = RetransmitConfig(window=8, heartbeat_interval=0.001)
+            stream = list(itertools.islice(itertools.cycle(messages), 600))
+            runs = []
+            for _ in range(4):
+                frames = []
+                runs.append((decoding_pair(config, frames=frames), frames))
+
+            def drive(sender):
+                for m in stream:
+                    sender.send(m)
+                sender.close()
+
+            threads = [threading.Thread(target=drive, args=(pair[0],),
+                                        daemon=True)
+                       for pair, _frames in runs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        for (_sender, decoder, got, peer), frames in runs:
+            peer.join(10.0)
+            assert not peer.is_alive() and decoder.complete
+            assert [m.to_json() for m in got] == [m.to_json() for m in stream]
+            starts = [f["seq"] for f in frames]
+            ends = [f["seq"] + len(f["payload"].split("\n")) for f in frames]
+            assert starts == [0] + ends[:-1] and ends[-1] == 600
+            assert max(end - start for start, end in zip(starts, ends)) <= 8
 
 
 class TestLossyDelivery:
@@ -246,11 +331,20 @@ def _quiet_sender(server):
         window=4, heartbeat_interval=None))
 
 
-def _msg_line(seq, payload, crc=None):
+def _msgs_line(seq, *payloads, crc=None):
+    """A batch data frame carrying ``payloads`` from ``seq`` on."""
+    payload = "\n".join(payloads)
     if crc is None:
         crc = zlib.crc32(payload.encode("utf-8"))
-    return json.dumps({"t": "msg", "seq": seq, "crc": crc,
+    return json.dumps({"t": "msgs", "seq": seq, "crc": crc,
                        "payload": payload}) + "\n"
+
+
+def _wait_for(predicate, budget=10.0):
+    deadline = time.monotonic() + budget
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.005)
 
 
 class TestBrokenConnection:
@@ -284,6 +378,36 @@ class TestBrokenConnection:
         finally:
             server.close()
 
+    @staticmethod
+    def _answering(reply):
+        """A peer that answers the first data it reads with ``reply``."""
+        def handle(conn):
+            conn.recv(1)
+            conn.sendall(reply)
+            _drain(conn)
+        return handle
+
+    def test_a_reverse_line_that_is_not_json_fails_the_sender(self, messages):
+        server = _peer(self._answering(b"not json\n"))
+        try:
+            with pytest.raises(ReliableTransportError,
+                               match="'not json' is not a JSON object"):
+                with _quiet_sender(server) as sender:
+                    _send_until_error(sender, messages)
+        finally:
+            server.close()
+
+    def test_an_ack_for_a_seq_never_sent_fails_the_sender(self, messages):
+        server = _peer(self._answering(b'{"t": "ack", "seq": 5}\n'))
+        try:
+            with pytest.raises(ReliableTransportError,
+                               match=r"bad ack from the receiver: seq 5, "
+                                     r"but 1 message\(s\) were sent"):
+                with _quiet_sender(server) as sender:
+                    _send_until_error(sender, messages)
+        finally:
+            server.close()
+
     def test_receiver_rejects_a_skipped_seq(self, xyz_execution):
         records = []
         with AnalysisServer(ServerConfig(port=0),
@@ -292,20 +416,28 @@ class TestBrokenConnection:
                              n_threads=xyz_execution.n_threads,
                              initial=_xyz_initial(xyz_execution),
                              spec=XYZ_PROPERTY)
-            transmit = session._sender._transmit
+            sender = session._sender
+            transmit = sender._transmit
             frames = []
 
             def skip_second(frame):
-                frames.append(frame)
-                if len(frames) != 2:
-                    transmit(frame)
+                if frame.startswith(b'{"t": "msgs"'):
+                    frames.append(frame)
+                    if len(frames) == 2:
+                        return
+                transmit(frame)
 
-            session._sender._transmit = skip_second
+            sender._transmit = skip_second
+            first, second, *rest = xyz_execution.messages
             with pytest.raises(ReliableTransportError):
                 with session:
-                    for m in xyz_execution.messages:
+                    session.send(first)
+                    _wait_for(lambda: sender._acked == 1)
+                    session.send(second)    # alone in the dropped frame
+                    for m in rest:          # pending behind it until close
                         session.send(m)
             record = sealed_record(records)
+        assert len(frames) == 3
         assert record["state"] == "failed"
         assert "frame seq 2 skips ahead of seq 1" in record["error"]
 
@@ -316,7 +448,7 @@ class TestFrameDecoder:
         decoder = FrameDecoder(send=sent.append)
         payload = messages[0].to_json()
         with pytest.raises(ReliableTransportError, match="seq 0 failed its"):
-            decoder.feed_line(_msg_line(0, payload, crc=1))
+            decoder.feed_line(_msgs_line(0, payload, crc=1))
         assert decoder.corrupt_frames == 1 and sent == []
         assert decoder.delivered == 0
 
@@ -324,28 +456,29 @@ class TestFrameDecoder:
         sent, got = [], []
         decoder = FrameDecoder(
             send=sent.append, on_message=lambda msg, _text: got.append(msg))
-        decoder.feed_line(_msg_line(0, messages[0].to_json()))
+        decoder.feed_line(_msgs_line(0, messages[0].to_json()))
         with pytest.raises(ReliableTransportError,
                            match="seq 1 payload is not a message"):
-            decoder.feed_line(_msg_line(1, '{"bogus": 1}'))
+            decoder.feed_line(_msgs_line(1, '{"bogus": 1}'))
         assert decoder.corrupt_frames == 1
         assert [json.loads(b)["seq"] for b in sent] == [0]
         assert len(got) == 1 and decoder.delivered == 1
 
     def test_payload_handed_over_is_one_ascii_line(self, messages):
         """Stores write each payload as one line of a trace segment, so a
-        payload laid out over several lines, or with raw non-ASCII, is
-        handed over in its canonical encoding instead."""
+        payload line broken by raw carriage returns, or with raw
+        non-ASCII, is handed over in its canonical encoding instead."""
         got = []
         decoder = FrameDecoder(send=lambda _: None,
                                on_message=lambda m, text: got.append(text))
         canonical = messages[0].to_json()
-        decoder.feed_line(_msg_line(0, canonical))
-        spread = json.dumps(json.loads(messages[1].to_json()), indent=1)
-        decoder.feed_line(_msg_line(1, spread))
+        decoder.feed_line(_msgs_line(0, canonical))
+        spread = json.dumps(json.loads(messages[1].to_json())).replace(
+            ", ", ",\r")
+        decoder.feed_line(_msgs_line(1, spread))
         doc = json.loads(messages[2].to_json())
         doc["label"] = "x\u2028y"
-        decoder.feed_line(_msg_line(2, json.dumps(doc, ensure_ascii=False)))
+        decoder.feed_line(_msgs_line(2, json.dumps(doc, ensure_ascii=False)))
         assert got[0] == canonical
         assert got[1] == messages[1].to_json()
         assert json.loads(got[2])["label"] == "x\u2028y"
@@ -356,10 +489,36 @@ class TestFrameDecoder:
         sent, got = [], []
         decoder = FrameDecoder(
             send=sent.append, on_message=lambda msg, _text: got.append(msg))
-        lines = [_msg_line(i, m.to_json()) for i, m in enumerate(messages[:3])]
+        lines = [_msgs_line(i, m.to_json()) for i, m in enumerate(messages[:3])]
         for line in lines + lines[1:]:
             decoder.feed_line(line)
         assert [m.event.eid for m in got] == \
             [m.event.eid for m in messages[:3]]
         assert decoder.duplicates == 2
         assert [json.loads(b)["seq"] for b in sent] == [0, 1, 2, 1, 2]
+
+    def test_a_replay_straddling_start_seq_delivers_its_suffix(self,
+                                                                messages):
+        sent, got = [], []
+        decoder = FrameDecoder(
+            send=sent.append, on_message=lambda msg, _text: got.append(msg),
+            start_seq=2)
+        decoder.feed_line(_msgs_line(
+            0, *(m.to_json() for m in messages[:5])))
+        assert [m.event.eid for m in got] == \
+            [m.event.eid for m in messages[2:5]]
+        assert decoder.duplicates == 2 and decoder.delivered == 5
+        assert [json.loads(b)["seq"] for b in sent] == [4]
+
+    def test_a_corrupt_middle_line_delivers_none_of_the_batch(self,
+                                                              messages):
+        sent, got = [], []
+        decoder = FrameDecoder(
+            send=sent.append, on_message=lambda msg, _text: got.append(msg))
+        with pytest.raises(ReliableTransportError,
+                           match="seq 1 payload is not a message"):
+            decoder.feed_line(_msgs_line(0, messages[0].to_json(),
+                                         '{"bogus": 1}',
+                                         messages[2].to_json()))
+        assert got == [] and sent == []
+        assert decoder.delivered == 0 and decoder.corrupt_frames == 1

@@ -49,9 +49,26 @@ class TestHello:
         with pytest.raises(ProtocolError, match="version"):
             Hello.from_frame(d)
 
+    def test_a_v1_hello_is_rejected_naming_both_versions(self):
+        """Version 1 streamed one ``msg`` frame per message; a v1 client
+        gets a handshake reject, not a frame error mid-stream."""
+        from repro.server import AnalysisServer, ServerConfig
+
+        hello = Hello(mode="attach", n_threads=2, initial={"x": 0}).to_frame()
+        hello["v"] = 1
+        with AnalysisServer(ServerConfig(port=0)) as srv:
+            with socket.create_connection((srv.host, srv.port)) as sock:
+                sock.settimeout(10.0)
+                sock.sendall(encode_frame(hello))
+                reply = read_frame_line(sock)
+        assert PROTOCOL_VERSION == 2
+        assert reply["t"] == "reject" and reply["why"] == "bad-hello"
+        assert ("protocol version 1 not supported (this server speaks "
+                "version 2)") in reply["reason"]
+
     def test_wrong_frame_type_rejected(self):
         with pytest.raises(ProtocolError, match="hello"):
-            Hello.from_frame({"t": "msg", "v": PROTOCOL_VERSION})
+            Hello.from_frame({"t": "msgs", "v": PROTOCOL_VERSION})
 
     @pytest.mark.parametrize("patch, match", [
         ({"n_threads": "two"}, "n_threads"),
@@ -103,7 +120,7 @@ class TestReadFrameLine:
     def test_data_frame_behind_helloack_stays_in_tcp_socket(self):
         a, b = _tcp_pair()
         try:
-            data = b'{"t":"msg","seq":0}\n'
+            data = b'{"t":"msgs","seq":0}\n'
             a.sendall(encode_frame({"t": "helloack", "session": 7}) + data)
             assert read_frame_line(b) == {"t": "helloack", "session": 7}
             b.settimeout(5.0)

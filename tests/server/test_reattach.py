@@ -180,9 +180,10 @@ class _FakeServer:
                  "token": "feed"}) + "\n").encode())
             for line in reader:
                 d = json.loads(line)
-                if d.get("t") == "msg":
+                if d.get("t") == "msgs":
+                    last = d["seq"] + d["payload"].count("\n")
                     conn.sendall((json.dumps(
-                        {"t": "ack", "seq": d["seq"]}) + "\n").encode())
+                        {"t": "ack", "seq": last}) + "\n").encode())
                 elif d.get("t") == "fin":
                     conn.sendall(b'{"t": "finack"}\n')
                     # keep reading; never send a result

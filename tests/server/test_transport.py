@@ -27,12 +27,13 @@ from ..conftest import SOUP_ENGINES, lock_soup, sealed_record
 
 def _rewrite_frame(sender, n, rewrite):
     """Make ``sender`` pass its ``n``-th data frame (0-based) through
-    ``rewrite`` before it goes on the wire."""
+    ``rewrite`` before it goes on the wire.  The first message always
+    leaves alone, so frame 1 starts at seq 1."""
     transmit = sender._transmit
     seen = [0]
 
     def tampered(frame):
-        if frame.startswith(b'{"t": "msg"'):
+        if frame.startswith(b'{"t": "msgs"'):
             if seen[0] == n:
                 frame = rewrite(frame)
             seen[0] += 1
@@ -46,9 +47,11 @@ def _bad_crc(frame):
 
 
 def _undecodable_payload(frame):
-    """The frame with a payload that is not a message, under a valid CRC."""
+    """The frame with a first line that is not a message, under a valid
+    CRC."""
     d = json.loads(frame)
-    d["payload"] = '{"bogus": 1}'
+    lines = d["payload"].split("\n")
+    d["payload"] = "\n".join(['{"bogus": 1}'] + lines[1:])
     d["crc"] = zlib.crc32(d["payload"].encode("utf-8"))
     return (json.dumps(d) + "\n").encode("utf-8")
 
@@ -126,14 +129,13 @@ class TestUndecodablePayload:
         never acked and skipped: a verdict over the rest of the stream
         would claim soundness it does not have."""
         initial = {v: xyz_execution.initial_store[v] for v in XYZ_VARS}
-        last = len(xyz_execution.messages) - 1
         records = []
         with AnalysisServer(ServerConfig(port=0, workers=1),
                             on_session_end=records.append) as srv:
             session = attach(srv.host, srv.port,
                              n_threads=xyz_execution.n_threads,
                              initial=initial, spec=XYZ_PROPERTY)
-            _rewrite_frame(session._sender, last, _undecodable_payload)
+            _rewrite_frame(session._sender, 1, _undecodable_payload)
             with pytest.raises(ReliableTransportError):
                 with session:
                     for m in xyz_execution.messages:
@@ -142,7 +144,7 @@ class TestUndecodablePayload:
         assert record["state"] == "failed"
         assert record["error"].startswith(
             "connection dropped on a bad frame: corrupt frame: "
-            f"seq {last} payload is not a message")
+            "seq 1 payload is not a message")
 
 
 def _firehose_sized():
