@@ -2,8 +2,8 @@
 
 The slicer (``repro.staticcheck.slicer``) computes the transitively-closed
 relevant-variable set from a specification and the program's data flow;
-the instrumentation layer then drops (predicate route) or silences (quiet
-route) everything outside it.  This benchmark measures what the paper's
+Algorithm A's relevance predicate (``SliceResult.predicate()``) then sends
+no message for anything outside it, while still merging its clocks.  This benchmark measures what the paper's
 "extract the relevant variables from the specification" (§4.1) buys: total
 event/message counts and events/sec of the monitored run, full vs sliced,
 on three workloads.  Shape expected: sliced runs never emit more, and emit

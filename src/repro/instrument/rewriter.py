@@ -33,12 +33,6 @@ for-targets and starred/tuple-destructuring writes, are rejected with a
 precise ``file:line:col`` :class:`InstrumentError` rather than silently
 miscompiled — each rejection matches an SC1xx diagnostic that
 ``repro lint`` reports for the same construct.
-
-Spec-relevance slicing: ``instrument_function(..., relevant_only={...})``
-rewrites accesses to the *other* shared names into
-``read_quiet``/``write_quiet`` runtime calls — the store stays coherent
-but no events are generated, the paper's "extract the relevant variables
-from the specification" (§4.1) applied at rewrite time.
 """
 
 from __future__ import annotations
@@ -93,10 +87,8 @@ _AUG_OPS = {
 
 class _Rewriter(ast.NodeTransformer):
     def __init__(self, shared: frozenset[str],
-                 quiet: frozenset[str] = frozenset(),
                  filename: Optional[str] = None):
         self.shared = shared
-        self.quiet = quiet  # sliced-out names: store ops, no events
         self.filename = filename
 
     def _error(self, node: ast.AST, message: str) -> InstrumentError:
@@ -109,7 +101,7 @@ class _Rewriter(ast.NodeTransformer):
         return ast.Call(
             func=ast.Attribute(
                 value=ast.Name(id=RUNTIME_NAME, ctx=ast.Load()),
-                attr="read_quiet" if name in self.quiet else "read",
+                attr="read",
                 ctx=ast.Load(),
             ),
             args=[ast.Constant(name)],
@@ -120,7 +112,7 @@ class _Rewriter(ast.NodeTransformer):
         return ast.Call(
             func=ast.Attribute(
                 value=ast.Name(id=RUNTIME_NAME, ctx=ast.Load()),
-                attr="write_quiet" if name in self.quiet else "write",
+                attr="write",
                 ctx=ast.Load(),
             ),
             args=[ast.Constant(name), value],
@@ -324,7 +316,6 @@ def instrument_function(
     fn: Callable,
     shared: Iterable[str],
     runtime: InstrumentedRuntime,
-    relevant_only: Optional[Iterable[str]] = None,
 ) -> Callable:
     """Return a copy of ``fn`` whose accesses to ``shared`` names run through
     ``runtime`` (and hence through Algorithm A).
@@ -334,11 +325,9 @@ def instrument_function(
     injected runtime.  Rejections and rewrite errors carry the function's
     real ``file:line:col`` span.
 
-    ``relevant_only`` enables spec-relevance slicing: accesses to shared
-    names *outside* it still go through the runtime store (so values stay
-    coherent) but use the quiet entry points and generate no events.  Use
-    :func:`repro.staticcheck.slice_python_functions` to compute the set
-    from a specification.
+    Spec-relevance slicing is the runtime's job, not the rewrite's: build
+    ``runtime`` with ``relevance=sl.predicate()``, where ``sl`` comes from
+    :func:`repro.staticcheck.slice_python_functions`.
     """
     shared_set = frozenset(shared)
     undeclared = [v for v in shared_set if v not in runtime.initial_store]
@@ -346,16 +335,6 @@ def instrument_function(
         raise InstrumentError(
             f"shared names {sorted(undeclared)} are not declared in the runtime"
         )
-    quiet: frozenset[str] = frozenset()
-    if relevant_only is not None:
-        relevant_set = frozenset(relevant_only)
-        unknown = relevant_set - shared_set
-        if unknown:
-            raise InstrumentError(
-                f"relevant_only names {sorted(unknown)} are not in the "
-                f"shared set"
-            )
-        quiet = shared_set - relevant_set
     try:
         lines, first_line = inspect.getsourcelines(fn)
         src = textwrap.dedent("".join(lines))
@@ -375,7 +354,7 @@ def instrument_function(
         raise InstrumentError(f"{fn.__name__} is not a plain function")
     _reject_shared_in_signature(fdef, shared_set, filename)
     fdef.decorator_list = []  # decorators already applied to the original
-    new_tree = _Rewriter(shared_set, quiet=quiet, filename=filename).visit(tree)
+    new_tree = _Rewriter(shared_set, filename=filename).visit(tree)
     ast.fix_missing_locations(new_tree)
     code = compile(new_tree, filename=filename, mode="exec")
     namespace = dict(fn.__globals__)
@@ -383,8 +362,6 @@ def instrument_function(
     exec(code, namespace)
     new_fn = namespace[fdef.name]
     new_fn.__instrumented_shared__ = shared_set
-    new_fn.__instrumented_relevant__ = (
-        frozenset(relevant_only) if relevant_only is not None else None)
     return new_fn
 
 

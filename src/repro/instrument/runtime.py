@@ -17,7 +17,7 @@ mentions in §2.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from ..core.algorithm_a import AlgorithmA, RelevancePredicate
 from ..core.events import Event, EventKind, Message, VarName
@@ -33,13 +33,12 @@ class InstrumentedRuntime:
             like the paper's static shared variables; dynamic registration
             is available via :meth:`declare`).
         relevance: Algorithm A's relevance predicate (default: every write).
+            Spec-relevance slicing passes a slice's
+            :meth:`~repro.staticcheck.SliceResult.predicate` here: accesses
+            outside the slice emit no message but still merge clocks, so
+            the relevant causal order stays exact.
         sink: callable receiving emitted messages (e.g. an
             :class:`~repro.observer.observer.Observer` or a socket sender).
-        relevant_only: spec-relevance slicing — accesses to shared data
-            variables *outside* this set update the store but generate no
-            events at all (neither Algorithm A processing nor the event
-            log).  Synchronization events are always recorded.  Compute
-            the set with :func:`repro.staticcheck.slice_python_functions`.
         max_threads: preallocated MVC width; indices grow dynamically
             beyond it.
     """
@@ -50,12 +49,9 @@ class InstrumentedRuntime:
         relevance: Optional[RelevancePredicate] = None,
         sink: Optional[Callable[[Message], None]] = None,
         sync_only_clocks: bool = False,
-        relevant_only: Optional[Iterable[VarName]] = None,
         max_threads: int = 4,
     ):
         self._store: dict[VarName, Any] = dict(initial)
-        self._relevant_only: Optional[frozenset[VarName]] = (
-            frozenset(relevant_only) if relevant_only is not None else None)
         self._lock = threading.RLock()
         self._algo = AlgorithmA(
             max_threads,
@@ -113,16 +109,10 @@ class InstrumentedRuntime:
             self._store[var] = value
             self.initial_store[var] = value
 
-    def _sliced_out(self, var: VarName) -> bool:
-        return (self._relevant_only is not None
-                and var not in self._relevant_only)
-
     def read(self, var: VarName) -> Any:
         with self._lock:
             if var not in self._store:
                 raise KeyError(f"undeclared shared variable {var!r}")
-            if self._sliced_out(var):
-                return self._store[var]
             value = self._store[var]
             self._record(EventKind.READ, var, value)
             return value
@@ -132,25 +122,8 @@ class InstrumentedRuntime:
             if var not in self._store:
                 raise KeyError(f"undeclared shared variable {var!r}")
             self._store[var] = value
-            if not self._sliced_out(var):
-                self._record(EventKind.WRITE, var, value,
-                             label=label or f"{var}={value!r}")
-            return value
-
-    def read_quiet(self, var: VarName) -> Any:
-        """Store read with no event — the sliced-out access path.  The
-        rewriter emits this for shared names outside ``relevant_only``."""
-        with self._lock:
-            if var not in self._store:
-                raise KeyError(f"undeclared shared variable {var!r}")
-            return self._store[var]
-
-    def write_quiet(self, var: VarName, value: Any) -> Any:
-        """Store write with no event — the sliced-out access path."""
-        with self._lock:
-            if var not in self._store:
-                raise KeyError(f"undeclared shared variable {var!r}")
-            self._store[var] = value
+            self._record(EventKind.WRITE, var, value,
+                         label=label or f"{var}={value!r}")
             return value
 
     def update(self, var: VarName, fn: Callable[[Any], Any]) -> Any:
@@ -252,11 +225,6 @@ class InstrumentedRuntime:
     @property
     def algorithm(self) -> AlgorithmA:
         return self._algo
-
-    @property
-    def relevant_only(self) -> Optional[frozenset[VarName]]:
-        """The active slicing set, or None when every access is recorded."""
-        return self._relevant_only
 
 
 class _InstrumentedLock:

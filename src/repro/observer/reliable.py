@@ -25,7 +25,9 @@ observer's side the analysis server (:mod:`repro.server`), which runs one
 * heartbeats flow while the sender is idle, so a receiver with a read
   timeout (the server's ``io_timeout``) tells "quiet" from "crashed";
 * the stream ends with a ``fin`` frame carrying the total count, which
-  the receiver uses to verify zero loss end-to-end.
+  the receiver checks against what it delivered: TCP is ordered, so every
+  data frame sent before the fin has arrived with it, and any other count
+  breaks the connection like a corrupt frame.
 
 There is no retransmission timer: a live TCP connection never loses a
 frame, so a frame can only go missing with its connection.  A frame that
@@ -157,8 +159,9 @@ class FrameDecoder:
 
     The connection is TCP, so frames arrive intact and in order.  A line
     that is not a valid frame, fails its CRC, carries a payload line that
-    is not a :class:`Message`, or skips ahead of the next expected ``seq``
-    means the connection itself is broken: :meth:`feed_line` raises
+    is not a :class:`Message`, skips ahead of the next expected ``seq``,
+    or is a ``fin`` whose count is not the delivered count means the
+    connection itself is broken: :meth:`feed_line` raises
     :class:`ReliableTransportError`, delivers none of that frame's
     messages, and the caller drops the connection.
 
@@ -186,7 +189,6 @@ class FrameDecoder:
         self._send = send
         self._on_message = on_message
         self._next_deliver = start_seq
-        self.expected_total: Optional[int] = None
         self.duplicates = 0
         self.corrupt_frames = 0
 
@@ -195,18 +197,13 @@ class FrameDecoder:
         """Messages handed to ``on_message`` so far (== next seq wanted)."""
         return self._next_deliver
 
-    @property
-    def complete(self) -> bool:
-        """A fin has been seen and every seq before its count delivered."""
-        return (self.expected_total is not None
-                and self._next_deliver >= self.expected_total)
-
     def feed_line(self, line: str) -> Optional[dict]:
         """Consume one wire line.  Data/heartbeat frames are fully handled
         here (returns ``None``); any other parsed frame is returned for the
-        caller to act on.  A ``fin`` frame records its count before being
-        returned.  Raises :class:`ReliableTransportError` for a corrupt or
-        out-of-order frame.
+        caller to act on; a returned ``fin`` has been checked to count
+        exactly the delivered messages.  Raises
+        :class:`ReliableTransportError` for a corrupt or out-of-order frame
+        and for a fin with any other count.
         """
         line = line.strip()
         if not line:
@@ -224,7 +221,10 @@ class FrameDecoder:
         if kind == "hb":
             return None
         if kind == "fin":
-            self.expected_total = d.get("count")
+            count = d.get("count")
+            if type(count) is not int or count != self._next_deliver:
+                raise ReliableTransportError(
+                    f"fin count {count!r} != delivered {self._next_deliver}")
         return d
 
     def _corrupt(self, what: str) -> ReliableTransportError:

@@ -768,7 +768,8 @@ class AnalysisServer:
         from supervisor threads share the socket with our acks.
         ``start_seq`` is nonzero on a resumed connection: the decoder then
         re-acks the already-delivered prefix as duplicates.  A frame the
-        decoder rejects (bad CRC, a skipped ``seq``) ends the connection
+        decoder rejects (bad CRC, a skipped ``seq``, a fin whose count is
+        not the delivered count) ends the connection
         with an ``err`` frame; the caller then parks a resumable session
         for the client's resume to replay, and fails any other.
         """
@@ -805,7 +806,7 @@ class AnalysisServer:
                 frame = decoder.feed_line(line)
                 if frame is None:
                     continue
-                if frame.get("t") == "fin" and decoder.complete:
+                if frame.get("t") == "fin":
                     result_frame = self._finish_session(session)
                     if result_frame is not None:
                         session.send_bytes(result_frame)

@@ -11,7 +11,8 @@ Two cooperating passes over program source, run *before* execution:
 * **Spec-relevance slicer** (:mod:`.slicer`) — computes the
   transitively-closed set of variables that can influence the
   specification (JMPaX §4.1's "extract the shared variables from the
-  spec"), feeding the ``relevant_only=`` instrumentation mode.
+  spec"), whose :meth:`~.slicer.SliceResult.predicate` is Algorithm A's
+  ``relevance=`` predicate.
 * **Spec consistency checker** (:mod:`.speccheck`) — bounded
   satisfiability / falsifiability / vacuity analysis of specification
   formulas and ``pattern:STEPS`` engine selections, with synthesized

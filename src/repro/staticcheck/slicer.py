@@ -14,13 +14,13 @@ statically:
 3. :func:`close_slice` — the transitive closure: a variable is *relevant*
    iff the spec mentions it or its value can reach a relevant write.
 
-Soundness caveat (documented in docs/STATIC.md): slicing preserves the
-*values* of relevant writes, but accesses to sliced-out variables generate
-no events, so happens-before edges that travel only through sliced-out
-data variables disappear from the captured partial order.  Verdicts of
-"no violation" stay sound; predicted violations can gain counterexamples
-that the dropped edges would have excluded.  Synchronization variables
-(locks, conditions) are never sliced out.
+The slice is consumed as Algorithm A's relevance predicate
+(:meth:`SliceResult.predicate`): accesses to sliced-out variables emit no
+message but still merge vector clocks, so the causal order among the
+surviving messages stays exact.  That is what makes a data-flow-only
+closure enough — a control dependence (``if d == 1: y = 1``) leaves ``d``
+out of the slice, yet the clock merge on the read of ``d`` still orders
+``y = 1`` after everything that preceded the write of ``d``.
 """
 
 from __future__ import annotations
@@ -135,10 +135,6 @@ def close_slice(
 # Python flow extraction
 # ---------------------------------------------------------------------------
 
-_OP_READ_METHODS = frozenset({"read", "read_quiet"})
-_OP_WRITE_METHODS = frozenset({"write", "write_quiet"})
-
-
 def _const_var(node: pyast.expr) -> Optional[str]:
     if isinstance(node, pyast.Constant) and isinstance(node.value, str):
         return node.value
@@ -207,7 +203,7 @@ class _PyFlows:
     def _runtime_read_var(self, node: pyast.Call) -> Optional[str]:
         """``<anything>.read("x")`` runtime-method reads."""
         if (isinstance(node.func, pyast.Attribute)
-                and node.func.attr in _OP_READ_METHODS and node.args):
+                and node.func.attr == "read" and node.args):
             return _const_var(node.args[0])
         return None
 
@@ -293,7 +289,7 @@ class _PyFlows:
             var = _const_var(node.args[0])
             if var is None:
                 return
-            if node.func.attr in _OP_WRITE_METHODS and len(node.args) >= 2:
+            if node.func.attr == "write" and len(node.args) >= 2:
                 self._record_write(var, self.taint(node.args[1]))
             elif node.func.attr == "update" and len(node.args) >= 2:
                 # rt.update("x", fn): read-modify-write of x

@@ -556,8 +556,8 @@ def _spec_relevance_python(
             code="SC113",
             message=(f"shared variable {var!r} is instrumented but not in "
                      f"the specification's relevant slice "
-                     f"{sorted(result.relevant)}; consider relevant_only= "
-                     f"slicing"),
+                     f"{sorted(result.relevant)}; slice with "
+                     f"relevance=<slice>.predicate()"),
             file=filename, line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1, symbol=var))
     return diags

@@ -11,7 +11,6 @@ from .landing import OBSERVED_SCHEDULE as LANDING_OBSERVED_SCHEDULE
 from .instrumented import (
     LANDING_AST_PROPERTY,
     LANDING_AST_SHARED,
-    run_instrumented_landing,
 )
 from .prodcons import handoff, producer_consumer
 from .random_programs import random_execution_specs, random_program
@@ -32,7 +31,6 @@ __all__ = [
     "landing_controller",
     "LANDING_AST_PROPERTY",
     "LANDING_AST_SHARED",
-    "run_instrumented_landing",
     "handoff",
     "producer_consumer",
     "random_execution_specs",

@@ -2,11 +2,11 @@
 
 The other workloads are generator programs for the cooperative scheduler;
 this one is the paper's headline pipeline end to end — *uninstrumented*
-Python thread functions, rewritten by :func:`instrument_function`, run on
-real threads.  It exists so the AST route has a first-class workload for
-the slicing parity tests, the benchmarks, and ``repro lint`` in CI (the
-linter discovers the entry points from the ``instrument_function`` call
-sites below).
+Python thread functions, to be rewritten by :func:`instrument_function`
+and run on real threads.  It exists so the AST route has a first-class
+workload for the slicing parity tests and ``repro lint`` in CI (the
+linter discovers the entry points and the shared names from the
+``repro-instrument``/``repro-shared`` directives below).
 
 The thread bodies mirror Fig. 1's flight controller: the controller
 approves the landing off the radio signal while the watchdog clears the
@@ -16,17 +16,11 @@ local computation (`ticks`) that slicing should ignore.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..instrument import InstrumentedRuntime, instrument_function
-from ..instrument.threads import run_threads, to_execution_result
-
 __all__ = [
     "LANDING_AST_PROPERTY",
     "LANDING_AST_SHARED",
     "controller",
     "radio_watchdog",
-    "run_instrumented_landing",
 ]
 
 #: Same safety property as :mod:`repro.workloads.landing`, phrased over the
@@ -36,7 +30,7 @@ LANDING_AST_PROPERTY = "start(landing == 1) -> [approved == 1, radio == 0)"
 LANDING_AST_SHARED = ("landing", "approved", "radio", "ticks")
 
 # repro-shared: landing, approved, radio, ticks
-_INITIAL = {"landing": 0, "approved": 0, "radio": 1, "ticks": 0}
+# repro-instrument: controller, radio_watchdog
 
 
 def controller() -> None:
@@ -55,23 +49,3 @@ def radio_watchdog() -> None:
     local_polls = 2
     ticks = ticks + local_polls  # noqa: F821,F841
     radio = 0               # noqa: F841
-
-
-def run_instrumented_landing(
-    relevant_only: Optional[frozenset] = None,
-    sink=None,
-):
-    """Instrument both thread functions, run them on real threads, and
-    return ``(runtime, execution_result)``.
-
-    ``relevant_only`` flows into :func:`instrument_function`, so a sliced
-    run exercises the quiet access path end to end.
-    """
-    runtime = InstrumentedRuntime(dict(_INITIAL), sink=sink,
-                                  relevant_only=relevant_only)
-    t1 = instrument_function(controller, set(LANDING_AST_SHARED), runtime,
-                             relevant_only=relevant_only)
-    t2 = instrument_function(radio_watchdog, set(LANDING_AST_SHARED), runtime,
-                             relevant_only=relevant_only)
-    run_threads(runtime, [lambda rt: t1(), lambda rt: t2()])
-    return runtime, to_execution_result(runtime, "ast-landing")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import all_accesses
+from repro.core import all_accesses, relevant_writes
 from repro.instrument import InstrumentedRuntime, InstrumentError, instrument_function
 
 
@@ -257,7 +257,7 @@ def _ann_assign():
     return 0
 
 
-def _quiet_mix():
+def _noisy_mix():
     noise = noise + 1  # noqa: F821
     x = noise * 10  # noqa: F821
     noise += 1  # noqa: F821
@@ -392,36 +392,27 @@ class TestErrorSpans:
         assert f.__code__.co_firstlineno == _simple.__code__.co_firstlineno
 
 
-class TestRelevantOnlySlicing:
-    def test_quiet_names_keep_store_coherent_without_events(self):
+class TestPredicateSlicing:
+    """AST-route slicing is the runtime's relevance predicate: the rewrite
+    is the same, irrelevant writes emit no message, every access is still
+    an event."""
+
+    def test_irrelevant_writes_send_no_message(self):
         rt = InstrumentedRuntime({"noise": 0, "x": 0},
-                                 relevance=all_accesses(),
-                                 relevant_only={"x"})
-        f = instrument_function(_quiet_mix, {"noise", "x"}, rt,
-                                relevant_only={"x"})
-        f()
+                                 relevance=relevant_writes({"x"}))
+        instrument_function(_noisy_mix, {"noise", "x"}, rt)()
         assert rt.store == {"noise": 2, "x": 10}
-        assert [e.var for e in rt.events] == ["x"]
+        assert [m.event.var for m in rt.messages] == ["x"]
+        assert [e.var for e in rt.events] == [
+            "noise", "noise", "noise", "x", "noise", "noise"]
 
     def test_full_run_matches_sliced_store(self):
         rt_full = InstrumentedRuntime({"noise": 0, "x": 0})
-        instrument_function(_quiet_mix, {"noise", "x"}, rt_full)()
+        instrument_function(_noisy_mix, {"noise", "x"}, rt_full)()
         rt_sliced = InstrumentedRuntime({"noise": 0, "x": 0},
-                                        relevant_only={"x"})
-        instrument_function(_quiet_mix, {"noise", "x"}, rt_sliced,
-                            relevant_only={"x"})()
+                                        relevance=relevant_writes({"x"}))
+        instrument_function(_noisy_mix, {"noise", "x"}, rt_sliced)()
         assert rt_full.store == rt_sliced.store
-
-    def test_relevant_marker(self):
-        rt = InstrumentedRuntime({"noise": 0, "x": 0})
-        f = instrument_function(_quiet_mix, {"noise", "x"}, rt,
-                                relevant_only={"x"})
-        assert f.__instrumented_relevant__ == frozenset({"x"})
-
-    def test_relevant_only_must_be_subset_of_shared(self):
-        rt = InstrumentedRuntime({"x": 0})
-        with pytest.raises(InstrumentError, match="not in the shared set"):
-            instrument_function(_simple, {"x"}, rt, relevant_only={"ghost"})
 
 
 class TestRoundTripEquivalence:

@@ -100,7 +100,7 @@ class TestCleanWire:
     def test_exactly_once_in_order(self, messages):
         got, sender, decoder = roundtrip(messages)
         assert [m.event.eid for m in got] == [m.event.eid for m in messages]
-        assert decoder.complete
+        assert decoder.delivered == len(messages)
         assert decoder.duplicates == 0
         assert decoder.corrupt_frames == 0
         assert sender.retransmissions == 0
@@ -136,7 +136,7 @@ class TestBatching:
         assert [(f["seq"], len(f["payload"].split("\n"))) for f in frames] \
             == [(0, 1), (1, 49)]
         assert [m.to_json() for m in got] == [m.to_json() for m in stream]
-        assert decoder.complete
+        assert decoder.delivered == len(stream)
 
     def test_a_pending_batch_leaves_without_another_send(self, messages):
         held = threading.Event()
@@ -183,7 +183,7 @@ class TestBatching:
             sys.setswitchinterval(switch)
         for (_sender, decoder, got, peer), frames in runs:
             peer.join(10.0)
-            assert not peer.is_alive() and decoder.complete
+            assert not peer.is_alive() and decoder.delivered == len(stream)
             assert [m.to_json() for m in got] == [m.to_json() for m in stream]
             starts = [f["seq"] for f in frames]
             ends = [f["seq"] + len(f["payload"].split("\n")) for f in frames]
@@ -522,3 +522,16 @@ class TestFrameDecoder:
                                          messages[2].to_json()))
         assert got == [] and sent == []
         assert decoder.delivered == 0 and decoder.corrupt_frames == 1
+
+    @pytest.mark.parametrize("count", [1, 3, "2", None, True],
+                             ids=["short", "long", "str", "missing", "bool"])
+    def test_a_fin_that_miscounts_the_delivered_stream_raises(self, messages,
+                                                              count):
+        decoder = FrameDecoder(send=lambda _: None)
+        decoder.feed_line(_msgs_line(0, *(m.to_json() for m in messages[:2])))
+        fin = {"t": "fin"} if count is None else {"t": "fin", "count": count}
+        with pytest.raises(ReliableTransportError,
+                           match=r"fin count .* != delivered 2"):
+            decoder.feed_line(json.dumps(fin))
+        assert decoder.feed_line('{"t": "fin", "count": 2}') == \
+            {"t": "fin", "count": 2}

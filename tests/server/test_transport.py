@@ -42,6 +42,10 @@ def _rewrite_frame(sender, n, rewrite):
     sender._transmit = tampered
 
 
+def _frame_bytes(d):
+    return (json.dumps(d) + "\n").encode("utf-8")
+
+
 def _bad_crc(frame):
     return frame.replace(b'"crc": ', b'"crc": 1', 1)
 
@@ -53,7 +57,7 @@ def _undecodable_payload(frame):
     lines = d["payload"].split("\n")
     d["payload"] = "\n".join(['{"bogus": 1}'] + lines[1:])
     d["crc"] = zlib.crc32(d["payload"].encode("utf-8"))
-    return (json.dumps(d) + "\n").encode("utf-8")
+    return _frame_bytes(d)
 
 
 def _reference(execution, initial, spec=None, engines=None):
@@ -145,6 +149,44 @@ class TestUndecodablePayload:
         assert record["error"].startswith(
             "connection dropped on a bad frame: corrupt frame: "
             "seq 1 payload is not a message")
+
+
+class TestFinCount:
+    """TCP is ordered, so a fin arrives behind every data frame sent before
+    it: a count other than the delivered one fails the session at once
+    instead of leaving the client to wait out its close timeout."""
+
+    @pytest.mark.parametrize("count", [5, 3], ids=["above", "below"])
+    def test_a_wrong_count_fails_the_session_promptly(self, xyz_execution,
+                                                      count):
+        assert len(xyz_execution.messages) == 4
+        initial = {v: xyz_execution.initial_store[v] for v in XYZ_VARS}
+        records = []
+        with AnalysisServer(ServerConfig(port=0, workers=1),
+                            on_session_end=records.append) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=xyz_execution.n_threads,
+                             initial=initial, spec=XYZ_PROPERTY)
+            transmit = session._sender._transmit
+
+            def miscounted_fin(frame):
+                if frame.startswith(b'{"t": "fin"'):
+                    frame = _frame_bytes({"t": "fin", "count": count})
+                transmit(frame)
+
+            session._sender._transmit = miscounted_fin
+            for m in xyz_execution.messages:
+                session.send(m)
+            started = time.monotonic()
+            with pytest.raises(ReliableTransportError,
+                               match=f"fin count {count} != delivered 4"):
+                session.close(timeout=3.0)
+            assert time.monotonic() - started < 1.0
+            record = sealed_record(records)
+        assert record["state"] == "failed"
+        assert record["error"] == (
+            f"connection dropped on a bad frame: fin count {count} != "
+            f"delivered 4")
 
 
 def _firehose_sized():

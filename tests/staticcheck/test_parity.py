@@ -1,17 +1,19 @@
 """Verdict parity: spec-sliced instrumentation must not change analyses.
 
-Two slicing mechanisms are exercised:
+Slicing has one mechanism, Algorithm A's relevance predicate
+(``SliceResult.predicate()``), exercised on both routes:
 
-* **predicate slicing** (cooperative scheduler route) — run the same
-  deterministic schedule with the default relevance vs the slice's
-  ``relevant_writes`` predicate and compare ``predict`` verdicts;
-* **quiet slicing** (AST route) — ``relevant_only=`` on
-  ``instrument_function``/``InstrumentedRuntime`` with a deterministic
-  sequential thread order.
+* the cooperative scheduler route — run the same deterministic schedule
+  with the default relevance vs the slice's predicate and compare
+  ``predict`` verdicts;
+* the AST route — ``InstrumentedRuntime(relevance=sl.predicate())``
+  under ``instrument_function`` with a deterministic sequential thread
+  order.
 
-In both cases the slice always contains the spec's variables, so every
-message the monitor can see survives; the tests also assert the slice
-actually *removes* events somewhere (the paper's bandwidth win).
+The slice always contains the spec's variables, so every message the
+monitor can see survives, and irrelevant accesses still merge clocks, so
+the causal order among them is exact; the tests also assert the slice
+actually *removes* messages somewhere (the paper's bandwidth win).
 """
 
 import threading
@@ -21,8 +23,14 @@ import pytest
 from repro.analysis import predict
 from repro.instrument import InstrumentedRuntime, instrument_function
 from repro.instrument.threads import to_execution_result
-from repro.sched import RandomScheduler, run_program
-from repro.staticcheck import close_slice, python_flows, spec_variables
+from repro.sched import RandomScheduler, explore_all, run_program
+from repro.sched.program import Program, Read, Write
+from repro.staticcheck import (
+    close_slice,
+    python_flows,
+    slice_python_functions,
+    spec_variables,
+)
 from repro.workloads import (
     AUDIT_PROPERTY,
     XYZ_PROPERTY,
@@ -87,49 +95,117 @@ class TestPredicateSlicingParity:
                 assert spec_variables(s) <= sl.relevant
 
 
-def _run_sequential(relevant_only):
-    """Deterministic AST-route run: controller fully precedes watchdog."""
-    rt = InstrumentedRuntime(
-        {"landing": 0, "approved": 0, "radio": 1, "ticks": 0},
-        relevant_only=relevant_only)
-    t1 = instrument_function(controller, set(LANDING_AST_SHARED), rt,
-                             relevant_only=relevant_only)
-    t2 = instrument_function(radio_watchdog, set(LANDING_AST_SHARED), rt,
-                             relevant_only=relevant_only)
+def _run_sequential(entries, shared, initial, relevance=None):
+    """Deterministic AST-route run: each entry function fully precedes the
+    next, the first on the calling thread and each later one on a new
+    thread."""
+    rt = InstrumentedRuntime(dict(initial), relevance=relevance)
+    first, *rest = [instrument_function(fn, set(shared), rt)
+                    for fn in entries]
     rt.register_thread(0)
-    t1()
-    worker = threading.Thread(target=t2)
-    worker.start()
-    worker.join()
-    return rt, to_execution_result(rt, "ast-landing")
+    first()
+    for fn in rest:
+        worker = threading.Thread(target=fn)
+        worker.start()
+        worker.join()
+    return rt, to_execution_result(rt, "ast-sequential")
 
 
-class TestQuietSlicingParity:
+_LANDING_INITIAL = {"landing": 0, "approved": 0, "radio": 1, "ticks": 0}
+
+
+class TestAstSlicingParity:
     SPEC = "start(landing == 1) -> [approved == 1, radio == 0)"
 
-    def test_verdict_parity_and_event_reduction(self):
-        _, full = _run_sequential(None)
-        _, sliced = _run_sequential(frozenset({"landing", "approved",
-                                               "radio"}))
+    def _runs(self):
+        entries = (controller, radio_watchdog)
+        sl = slice_python_functions(entries, LANDING_AST_SHARED, self.SPEC)
+        assert sl.irrelevant == {"ticks"}
+        full = _run_sequential(entries, LANDING_AST_SHARED, _LANDING_INITIAL)
+        sliced = _run_sequential(entries, LANDING_AST_SHARED,
+                                 _LANDING_INITIAL, relevance=sl.predicate())
+        return full, sliced
+
+    def test_verdict_parity_and_message_reduction(self):
+        (_, full), (_, sliced) = self._runs()
         assert _verdict(full, self.SPEC) == _verdict(sliced, self.SPEC)
-        # 'ticks' accesses disappear entirely from the sliced event log.
-        assert len(sliced.events) < len(full.events)
-        assert not any(e.var == "ticks" for e in sliced.events)
-        assert any(e.var == "ticks" for e in full.events)
+        # 'ticks' writes send no message under the slice's predicate.
+        assert len(sliced.messages) < len(full.messages)
+        assert not any(m.event.var == "ticks" for m in sliced.messages)
+        assert any(m.event.var == "ticks" for m in full.messages)
 
     def test_store_identical_under_slicing(self):
-        rt_full, _ = _run_sequential(None)
-        rt_sliced, _ = _run_sequential(frozenset({"landing", "approved",
-                                                  "radio"}))
+        (rt_full, _), (rt_sliced, _) = self._runs()
         assert rt_full.store == rt_sliced.store
 
-    def test_runtime_property_reports_slice(self):
-        rt, _ = _run_sequential(frozenset({"landing", "approved", "radio"}))
-        assert rt.relevant_only == {"landing", "approved", "radio"}
 
-    def test_quiet_paths_require_declared_names(self):
-        rt = InstrumentedRuntime({"x": 0})
-        with pytest.raises(KeyError):
-            rt.read_quiet("ghost")
-        with pytest.raises(KeyError):
-            rt.write_quiet("ghost", 1)
+# A control dependence the data-flow slicer does not follow: ``y`` is
+# written only once the reader has seen ``d == 1``, which the writer sets
+# after ``x = 1``.  The slice of CONTROL_SPEC leaves ``d`` out, yet every
+# feasible run has ``x == 1`` whenever ``y == 1`` — the clock merge on the
+# read of ``d`` must keep that order when ``d`` sends no message.
+CONTROL_SPEC = "(y == 1) -> (x == 1)"
+CONTROL_SHARED = ("x", "y", "d")
+_CONTROL_INITIAL = {"x": 0, "y": 0, "d": 0}
+
+
+def _writer():
+    x = 1  # noqa: F841
+    d = 1  # noqa: F841
+
+
+def _reader():
+    if d == 1:  # noqa: F821
+        y = 1  # noqa: F841
+
+
+def _control_program():
+    def writer():
+        yield Write("x", 1)
+        yield Write("d", 1)
+
+    def reader():
+        d = yield Read("d")
+        if d == 1:
+            yield Write("y", 1)
+
+    return Program(initial=_CONTROL_INITIAL, threads=[writer, reader],
+                   name="control-dependence")
+
+
+def _predicted_violations(execution):
+    return len(predict(execution, CONTROL_SPEC, mode="full").violations)
+
+
+class TestControlDependenceKeepsCausality:
+    def test_generator_program(self):
+        program = _control_program()
+        shared = program.default_relevance_vars()
+        sl = close_slice(spec_variables(CONTROL_SPEC),
+                         python_flows(list(program.threads), shared),
+                         shared=shared)
+        assert sl.relevant == {"x", "y"}
+        runs = list(explore_all(_control_program()))
+        assert runs and all(
+            predict(run, CONTROL_SPEC, mode="full").observed_ok
+            for run in runs)
+        wrote_y = 0
+        for seed in range(8):
+            sliced = run_program(_control_program(), RandomScheduler(seed),
+                                 relevance=sl.predicate())
+            assert _predicted_violations(sliced) == 0
+            wrote_y += sliced.final_store["y"] == 1
+        assert wrote_y  # some seed took the branch the slice cannot see
+
+    def test_ast_functions(self):
+        entries = (_writer, _reader)
+        sl = slice_python_functions(entries, CONTROL_SHARED, CONTROL_SPEC)
+        assert sl.irrelevant == {"d"}
+        _, full = _run_sequential(entries, CONTROL_SHARED, _CONTROL_INITIAL)
+        rt, sliced = _run_sequential(entries, CONTROL_SHARED,
+                                     _CONTROL_INITIAL,
+                                     relevance=sl.predicate())
+        assert rt.store["y"] == 1
+        assert _predicted_violations(full) == 0
+        assert _predicted_violations(sliced) == 0
+        assert len(sliced.messages) < len(full.messages)
