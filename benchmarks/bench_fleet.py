@@ -121,7 +121,7 @@ def test_fleet_shard_kill_zero_session_loss(tmp_path):
         def client(i):
             session = attach(
                 fleet.host, fleet.port, n_threads=execution.n_threads,
-                initial=initial, spec=XYZ_PROPERTY, fault_tolerant=True,
+                initial=initial, spec=XYZ_PROPERTY,
                 config=RetransmitConfig(window=64),
                 reconnect=ReconnectPolicy(max_attempts=10, backoff=0.1))
             half = len(execution.messages) // 2

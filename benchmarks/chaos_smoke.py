@@ -178,7 +178,7 @@ def run_fleet_case(name, factory, spec, variables, seed, fault, ckpt_dir,
     with AnalysisFleet(config) as fleet:
         session = attach(
             fleet.host, fleet.port, n_threads=execution.n_threads,
-            initial=initial, spec=spec, program=name, fault_tolerant=True,
+            initial=initial, spec=spec, program=name,
             config=RetransmitConfig(window=64),
             reconnect=ReconnectPolicy(max_attempts=10, backoff=0.1))
         half = max(1, len(execution.messages) // 2)

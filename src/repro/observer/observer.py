@@ -135,8 +135,10 @@ class Observer:
         initial_store: the program's initial shared-variable valuation (the
             instrumentor communicates it at startup, like JMPaX does).
         spec: optional safety specification; when given (and ``engines`` is
-            not), past-time LTL violations are predicted online and
-            collected in :attr:`violations`.
+            not), it runs as the ``"ltl"`` selection: past-time LTL
+            violations are predicted online and collected in
+            :attr:`violations`.  It is also the spec a bare ``"ltl"``
+            selection in ``engines`` runs under.
         engines: explicit analysis selection — engine selection strings
             (``"ltl"``, ``"ltl:<formula>"``, ``"atomicity"``,
             ``"pattern:<steps>"``; see :mod:`repro.engines`) and/or
@@ -180,17 +182,13 @@ class Observer:
     ):
         self._lock = threading.RLock() if thread_safe else nullcontext()
         self._n = n_threads
-        built: list[AnalysisEngine] = []
-        if engines is not None:
-            for sel in engines:
-                if isinstance(sel, AnalysisEngine):
-                    built.append(sel)
-                else:
-                    built.append(make_engine(sel, n_threads, initial_store,
-                                             default_spec=spec))
-        elif spec is not None:
-            # classic single-analysis observer
-            built.append(LtlEngine(n_threads, initial_store, spec))
+        if engines is None:
+            # classic single-analysis observer: the spec's LTL engine
+            engines = ["ltl"] if spec is not None else []
+        built = [sel if isinstance(sel, AnalysisEngine)
+                 else make_engine(sel, n_threads, initial_store,
+                                  default_spec=spec)
+                 for sel in engines]
         self._received = 0
         self._corrupted = 0
         self._finished = False

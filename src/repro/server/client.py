@@ -332,7 +332,6 @@ def attach(
     initial: Mapping[VarName, Any],
     spec: Optional[str] = None,
     program: str = "unknown",
-    fault_tolerant: bool = False,
     engines: Optional[Sequence[str]] = None,
     config: Optional[RetransmitConfig] = None,
     connect_timeout: float = 10.0,
@@ -356,8 +355,7 @@ def attach(
         reconnect = None
     hello = Hello(mode="attach", program=program, n_threads=n_threads,
                   initial={str(k): v for k, v in initial.items()},
-                  spec=spec, fault_tolerant=fault_tolerant,
-                  engines=tuple(engines or ()))
+                  spec=spec, engines=tuple(engines or ()))
     sock, reply = _handshake(host, port, hello, connect_timeout)
     if reply.get("t") != "helloack" or not isinstance(
             reply.get("session"), int):

@@ -308,14 +308,9 @@ class AnalysisServer:
         window = max(self.config.resume_timeout, self.config.drain_timeout)
         for journal in journals:
             meta = journal.meta
-            hello = Hello(
-                mode="attach", program=meta.program,
-                n_threads=meta.n_threads, initial=meta.initial,
-                spec=meta.spec, fault_tolerant=meta.fault_tolerant,
-                engines=meta.engines)
             try:
                 session = SupervisedSession(
-                    meta.session, hello, journal, supervisor=sup,
+                    meta.session, journal, supervisor=sup,
                     max_queued=self.config.max_queued_events,
                     peer="recovered")
             except Exception as exc:  # noqa: BLE001 - skip, don't crash boot
@@ -746,14 +741,10 @@ class AnalysisServer:
                            max_queued=self.config.max_queued_events,
                            peer=peer)
         journal = SessionJournal.create(
-            self.config.checkpoint_dir, session=sid, token=token,
-            program=hello.program, n_threads=hello.n_threads,
-            initial=hello.initial, spec=hello.spec,
-            fault_tolerant=hello.fault_tolerant,
-            engines=hello.engines)
+            self.config.checkpoint_dir, session=sid, token=token, hello=hello)
         try:
             return SupervisedSession(
-                sid, hello, journal, supervisor=self.config.supervisor_config(),
+                sid, journal, supervisor=self.config.supervisor_config(),
                 max_queued=self.config.max_queued_events, peer=peer)
         except Exception:
             journal.delete()

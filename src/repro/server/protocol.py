@@ -184,7 +184,6 @@ class Hello:
     n_threads: int = 0
     initial: dict[str, Any] = field(default_factory=dict)
     spec: Optional[str] = None
-    fault_tolerant: bool = False
     #: Engine selection strings (see :mod:`repro.engines`); empty means
     #: the server's default pipeline (a single LTL engine under ``spec``).
     engines: tuple[str, ...] = ()
@@ -220,8 +219,7 @@ class Hello:
         d = {"t": "hello", "v": self.version, "mode": self.mode}
         if self.mode == "attach":
             d.update(program=self.program, n_threads=self.n_threads,
-                     initial=dict(self.initial), spec=self.spec,
-                     fault_tolerant=self.fault_tolerant)
+                     initial=dict(self.initial), spec=self.spec)
             if self.engines:
                 d["engines"] = list(self.engines)
         elif self.mode == "resume":
@@ -279,7 +277,6 @@ class Hello:
             n_threads=n_threads,
             initial=initial,
             spec=spec,
-            fault_tolerant=bool(d.get("fault_tolerant", False)),
             engines=tuple(engines),
             version=version,
         )

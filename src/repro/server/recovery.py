@@ -4,8 +4,9 @@ Every admitted session under ``ServerConfig(checkpoint_dir=...)`` owns one
 journal directory::
 
     <checkpoint_dir>/session-<token>/
-        meta.json     session identity: id, token, epoch, program,
-                      n_threads, initial store, spec, fault tolerance
+        meta.json     session identity: id, token, epoch, and the
+                      admitted hello's program, n_threads, initial
+                      store, spec and engine selection
         events.rpt    v2 trace (repro.store.format) of the accepted
                       messages, checkpointed incrementally
 
@@ -17,6 +18,11 @@ journaled prefix back through
 :meth:`~repro.observer.observer.Observer.rebuild` reconstructs
 byte-identical analyzer state: a restarted worker replays the journal
 and takes the rest from its inbox, with verdict parity guaranteed.
+The observer comes from the journal's hello through
+:func:`repro.server.session.build_observer`, like every served
+session's: strict, so a stream that ends with messages parked behind a
+gap fails the session.  A ``meta.json`` written by an older daemon may
+carry keys this one no longer reads; they are ignored.
 
 Crash windows are handled at two granularities:
 
@@ -41,16 +47,14 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from ..core.events import Message
-from ..logic.monitor import Monitor
-from ..observer.observer import Observer
 from ..observer.trace import TraceFormatError
 from ..store.format import SegmentWriter, read_trace_prefix
+from .protocol import PROTOCOL_VERSION, Hello
 
-__all__ = ["JournalError", "SessionJournal", "scan_journals",
-           "build_observer"]
+__all__ = ["JournalError", "SessionJournal", "scan_journals"]
 
 META_NAME = "meta.json"
 EVENTS_NAME = "events.rpt"
@@ -72,36 +76,29 @@ def _atomic_write_json(path: Path, doc: Mapping[str, Any]) -> None:
 
 @dataclass
 class JournalMeta:
-    """Identity of a journaled session — everything needed to rebuild its
-    observer and readmit it after a daemon restart."""
+    """Identity of a journaled session — its admitted attach hello plus
+    what the daemon needs to readmit it after a restart."""
 
     session: int
     token: str
     epoch: int
-    program: str
-    n_threads: int
-    initial: dict[str, Any]
-    spec: Optional[str]
-    fault_tolerant: bool
+    hello: Hello
     created_at: float
     version: int = META_VERSION
-    #: Engine selection strings (see :mod:`repro.engines`); empty means
-    #: the classic single-LTL pipeline implied by ``spec``.
-    engines: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        hello = self.hello
         return {
             "version": self.version,
             "session": self.session,
             "token": self.token,
             "epoch": self.epoch,
-            "program": self.program,
-            "n_threads": self.n_threads,
-            "initial": dict(self.initial),
-            "spec": self.spec,
-            "fault_tolerant": self.fault_tolerant,
+            "program": hello.program,
+            "n_threads": hello.n_threads,
+            "initial": dict(hello.initial),
+            "spec": hello.spec,
             "created_at": self.created_at,
-            "engines": list(self.engines),
+            "engines": list(hello.engines),
         }
 
     @classmethod
@@ -110,17 +107,15 @@ class JournalMeta:
             if d["version"] != META_VERSION:
                 raise JournalError(
                     f"unsupported journal meta version {d['version']!r}")
+            # the hello fields sit at the top level, as in a hello frame
+            hello = Hello.from_frame(
+                {**d, "t": "hello", "v": PROTOCOL_VERSION, "mode": "attach"})
             return cls(
                 session=int(d["session"]),
                 token=str(d["token"]),
                 epoch=int(d["epoch"]),
-                program=str(d["program"]),
-                n_threads=int(d["n_threads"]),
-                initial=dict(d["initial"]),
-                spec=d["spec"],
-                fault_tolerant=bool(d["fault_tolerant"]),
+                hello=hello,
                 created_at=float(d["created_at"]),
-                engines=tuple(d.get("engines") or ()),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise JournalError(f"malformed journal meta: {exc!r}") from exc
@@ -144,17 +139,11 @@ class SessionJournal:
 
     @classmethod
     def create(cls, root: str | Path, *, session: int, token: str,
-               program: str, n_threads: int,
-               initial: Mapping[str, Any], spec: Optional[str],
-               fault_tolerant: bool, epoch: int = 1,
-               engines: Sequence[str] = ()) -> "SessionJournal":
+               hello: Hello, epoch: int = 1) -> "SessionJournal":
         directory = Path(root) / f"session-{token}"
         directory.mkdir(parents=True, exist_ok=False)
-        meta = JournalMeta(
-            session=session, token=token, epoch=epoch, program=program,
-            n_threads=n_threads, initial=dict(initial), spec=spec,
-            fault_tolerant=fault_tolerant, created_at=time.time(),
-            engines=tuple(engines))
+        meta = JournalMeta(session=session, token=token, epoch=epoch,
+                           hello=hello, created_at=time.time())
         _atomic_write_json(directory / META_NAME, meta.to_json())
         return cls(directory, meta)
 
@@ -209,9 +198,9 @@ class SessionJournal:
                 # resuming client resends the whole stream
                 recovered = []
         new_path = self.dir / (EVENTS_NAME + ".new")
-        writer = SegmentWriter(
-            new_path, self.meta.n_threads, self.meta.initial,
-            program=self.meta.program)
+        hello = self.meta.hello
+        writer = SegmentWriter(new_path, hello.n_threads, hello.initial,
+                               program=hello.program)
         try:
             for msg in recovered:
                 writer.write(msg)
@@ -315,16 +304,3 @@ def scan_journals(root: str | Path) -> tuple[list[SessionJournal],
     journals.sort(key=lambda j: j.meta.session)
     return journals, skipped
 
-
-def build_observer(meta: JournalMeta) -> Observer:
-    """A fresh observer matching a journaled session's parameters — the
-    one the supervised worker analyzes with, so a rebuild and the live
-    session construct it the same way."""
-    return Observer(
-        meta.n_threads,
-        meta.initial,
-        spec=Monitor(meta.spec) if meta.spec else None,
-        fault_tolerant=meta.fault_tolerant,
-        thread_safe=True,
-        engines=list(meta.engines) or None,
-    )

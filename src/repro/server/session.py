@@ -40,10 +40,30 @@ from ..logic.monitor import Monitor
 from ..observer.observer import Observer
 from .protocol import Hello
 
-__all__ = ["SessionState", "Session"]
+__all__ = ["SessionState", "Session", "build_observer"]
 
 #: Queue sentinel: end of stream, run ``Observer.finish`` next.
 _FIN = object()
+
+
+def build_observer(hello: Hello) -> Observer:
+    """The observer a served session analyzes with, built from its admitted
+    attach hello — by :class:`Session` and by the supervised worker, so
+    both execution modes construct it the same way.  The hello's engine
+    selection (the daemon fills in its default at admission) wins, else the
+    spec runs as the single LTL engine.
+
+    Served observers are strict: the wire delivers every message once and
+    in send order, so a stream that ends with messages parked behind a gap
+    (a client that skipped one) makes ``finish()`` raise, and the reason
+    fails the session."""
+    return Observer(
+        hello.n_threads,
+        hello.initial,
+        spec=Monitor(hello.spec) if hello.spec else None,
+        thread_safe=True,
+        engines=list(hello.engines) or None,
+    )
 
 
 class SessionState(enum.Enum):
@@ -84,18 +104,7 @@ class Session:
         self.peer = peer
         self.n_threads = hello.n_threads
         self.initial = dict(hello.initial)
-        self._monitor = Monitor(hello.spec) if hello.spec else None
-        # engine selection: the hello's (the daemon filled in its default
-        # at admission), else the classic spec→LTL observer
-        self.engines_requested: tuple[str, ...] = tuple(hello.engines)
-        self.observer = Observer(
-            hello.n_threads,
-            hello.initial,
-            spec=self._monitor,
-            fault_tolerant=hello.fault_tolerant,
-            thread_safe=True,
-            engines=list(self.engines_requested) or None,
-        )
+        self.observer = build_observer(hello)
         self._max_queued = max_queued
         self._queue: deque = deque()
         self._cond = threading.Condition()

@@ -45,8 +45,8 @@ from ..core.events import Message
 from ..engines.base import StreamVerdict
 from ..obs import metrics as _metrics
 from ..store.archive import catalog_footer
-from .recovery import SessionJournal, build_observer
-from .session import Session, SessionState
+from .recovery import SessionJournal
+from .session import Session, SessionState, build_observer
 
 __all__ = ["SupervisorConfig", "SupervisedSession"]
 
@@ -119,12 +119,12 @@ def _worker_main(journal_dir: str, replay: int, inbox, outbox,
     they are reported as ``fatal`` — restarting would only loop.
     """
     journal = SessionJournal.open_dir(journal_dir)
-    meta = journal.meta
-    observer = build_observer(meta)
+    hello = journal.meta.hello
+    observer = build_observer(hello)
     recovered = journal.read_prefix(replay)
     observer.rebuild(recovered)
-    clocks: list[list[int]] = [[0] * meta.n_threads
-                               for _ in range(meta.n_threads)]
+    clocks: list[list[int]] = [[0] * hello.n_threads
+                               for _ in range(hello.n_threads)]
     for m in recovered:
         clocks[m.thread] = list(m.clock)
     stats = {"analyzed": len(recovered),
@@ -184,17 +184,18 @@ class SupervisedSession(Session):
     """A session whose analysis runs in a supervised worker process.
 
     The daemon side owns the session's journal (created at admission, or
-    found by ``--recover``) and is its only writer; it keeps no other
-    copy of the stream.  The base class still provides lifecycle,
-    attachment and archive plumbing; queue-and-worker-pool machinery is
-    bypassed (:meth:`has_pending`/:meth:`process_batch` report nothing to
-    do).
+    found by ``--recover``; its meta holds the session's hello) and is its
+    only writer; it keeps no other copy of the stream.  The base class
+    still provides lifecycle, attachment and archive plumbing;
+    queue-and-worker-pool machinery is bypassed
+    (:meth:`has_pending`/:meth:`process_batch` report nothing to do).
     """
 
-    def __init__(self, session_id: int, hello, journal: SessionJournal,
+    def __init__(self, session_id: int, journal: SessionJournal,
                  supervisor: Optional[SupervisorConfig] = None,
                  max_queued: int = 1024, peer: str = ""):
-        super().__init__(session_id, hello, max_queued=max_queued, peer=peer)
+        super().__init__(session_id, journal.meta.hello,
+                         max_queued=max_queued, peer=peer)
         # the base constructor validated the spec against the initial
         # store by building an observer; the analysis lives in the worker,
         # so drop the parent copy rather than keep a dead lattice around
@@ -301,7 +302,11 @@ class SupervisedSession(Session):
                 self.analyzed = max(self.analyzed, item[1])
                 self.live_violations = item[2]
             elif kind == "fatal":
-                if self.fail(item[1]):
+                # a draining session's reader answers the fin with a result
+                # frame carrying the reason; an err frame racing ahead of
+                # it would turn the client's close into a transport error
+                draining = self._state is SessionState.DRAINING
+                if self.fail(item[1]) and not draining:
                     self.send_frame({"t": "err", "reason": item[1]})
                 return
             elif kind == "result":
@@ -347,12 +352,11 @@ class SupervisedSession(Session):
             self.analyzed = result["analyzed"]
             self.final_clocks = [tuple(c) for c in result["final_clocks"]]
         if self._archive is not None:
-            meta = self.journal.meta
             try:
                 self.journal.seal(extra=catalog_footer(
-                    meta.program, meta.spec, meta.n_threads, self.verdict,
+                    self.program, self.spec, self.n_threads, self.verdict,
                     self.final_clocks,
-                    max(0.0, time.time() - meta.created_at)))
+                    max(0.0, time.time() - self.journal.meta.created_at)))
                 entry = self._archive.adopt_sealed(self.journal.events_path)
                 self.archive_id = entry.id
             except Exception:  # noqa: BLE001 - archive loss ≠ analysis loss

@@ -21,6 +21,11 @@ from repro.workloads import (
 #: v1 writer before v2 became the only format written; v1 is read-only.
 V1_XYZ_TRACE = Path(__file__).parent / "golden" / "xyz_v1.trace"
 
+#: The tolerance key that older clients put in their attach hello and
+#: older daemons in a journal's ``meta.json``.  Served sessions are always
+#: strict, and both readers ignore the key.
+RETIRED_TOLERANCE_KEY = "fault_tolerant"
+
 #: Engine selections of the served ``lattice`` workload, for lock soups.
 SOUP_ENGINES = ("ltl:(v0 > 5) -> [v1 >= 0, v1 > 8)", "atomicity",
                 "pattern:W(v0)=9;R(v0);W(v1)")

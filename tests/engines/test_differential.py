@@ -224,17 +224,20 @@ class TestProtocolPlumbing:
             Hello.from_frame(doc)
 
     def test_journal_meta_engines_round_trip(self):
-        meta = JournalMeta(
-            session=1, token="tok", epoch=1, program="demo", n_threads=2,
-            initial={"x": 0}, spec="x >= 0", fault_tolerant=True,
-            created_at=123.0, engines=("atomicity", "ltl:x >= 0"))
+        hello = Hello(mode="attach", program="demo", n_threads=2,
+                      initial={"x": 0}, spec="x >= 0",
+                      engines=("atomicity", "ltl:x >= 0"))
+        meta = JournalMeta(session=1, token="tok", epoch=1, hello=hello,
+                           created_at=123.0)
         back = JournalMeta.from_json(meta.to_json())
-        assert back.engines == ("atomicity", "ltl:x >= 0")
+        assert back.hello.engines == ("atomicity", "ltl:x >= 0")
+        assert back == meta
 
     def test_journal_meta_pre_bus_doc_defaults_empty(self):
-        meta = JournalMeta(
-            session=1, token="tok", epoch=1, program="demo", n_threads=2,
-            initial={}, spec=None, fault_tolerant=False, created_at=1.0)
+        hello = Hello(mode="attach", program="demo", n_threads=2,
+                      initial={}, spec=None)
+        meta = JournalMeta(session=1, token="tok", epoch=1, hello=hello,
+                           created_at=1.0)
         doc = meta.to_json()
         del doc["engines"]
-        assert JournalMeta.from_json(doc).engines == ()
+        assert JournalMeta.from_json(doc).hello.engines == ()

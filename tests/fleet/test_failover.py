@@ -35,7 +35,7 @@ def _fleet_config(tmp_path) -> FleetConfig:
 def _run(fleet, execution, initial, kill=False):
     session = attach(
         fleet.host, fleet.port, n_threads=execution.n_threads,
-        initial=initial, spec=XYZ_PROPERTY, fault_tolerant=True,
+        initial=initial, spec=XYZ_PROPERTY,
         config=RetransmitConfig(window=64),
         reconnect=ReconnectPolicy(max_attempts=10, backoff=0.1))
     messages = list(execution.messages)
@@ -87,7 +87,7 @@ class TestShardFailover:
         with AnalysisFleet(_fleet_config(tmp_path)) as fleet:
             first = attach(
                 fleet.host, fleet.port, n_threads=xyz_execution.n_threads,
-                initial=xyz_initial, spec=XYZ_PROPERTY, fault_tolerant=True,
+                initial=xyz_initial, spec=XYZ_PROPERTY,
                 reconnect=ReconnectPolicy(max_attempts=10, backoff=0.1))
             victim_slot = 1 - shard_of_session(first.session_id)
             assert fleet.supervisor.kill_shard(victim_slot) is not None

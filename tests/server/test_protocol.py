@@ -20,8 +20,7 @@ from repro.server.protocol import (
 class TestHello:
     def test_attach_round_trip(self):
         h = Hello(mode="attach", program="xyz", n_threads=2,
-                  initial={"x": -1, "y": 0}, spec="x > 0",
-                  fault_tolerant=True)
+                  initial={"x": -1, "y": 0}, spec="x > 0")
         d = json.loads(encode_frame(h.to_frame()))
         assert d["t"] == "hello"
         assert d["v"] == PROTOCOL_VERSION

@@ -3,7 +3,8 @@
 The recovery layer's contract (``repro.server.recovery``): everything
 checkpointed is recoverable, a kill mid-write rolls back to the last
 durable prefix, and rebuilding an observer from the recovered prefix
-reproduces the live observer's verdict exactly.
+reproduces the live observer's verdict exactly.  A journal an older
+daemon wrote (with keys this one no longer reads) still recovers.
 """
 
 import json
@@ -11,30 +12,39 @@ import json
 import pytest
 
 from repro.observer import Observer
+from repro.observer.reliable import ReliableSender
 from repro.sched import RandomScheduler, run_program
+from repro.server import AnalysisServer, ServerConfig
+from repro.server.client import AttachedSession, _handshake
+from repro.server.protocol import Hello
 from repro.server.recovery import (
     EVENTS_NAME,
     META_NAME,
     JournalError,
     SessionJournal,
-    build_observer,
     scan_journals,
 )
+from repro.server.session import build_observer
 from repro.store import TraceArchive
 from repro.store.format import read_trace_meta, read_trace_prefix
 from repro.workloads import XYZ_PROPERTY, xyz_program
+
+from ..conftest import RETIRED_TOLERANCE_KEY
 
 
 def _execution(seed=0):
     return run_program(xyz_program(), RandomScheduler(seed))
 
 
+def _hello(execution):
+    return Hello(mode="attach", program="xyz",
+                 n_threads=execution.n_threads,
+                 initial=dict(execution.initial_store), spec=XYZ_PROPERTY)
+
+
 def _create(root, execution, session=1, token="cafe0123"):
-    return SessionJournal.create(
-        root, session=session, token=token, program="xyz",
-        n_threads=execution.n_threads,
-        initial=dict(execution.initial_store), spec=XYZ_PROPERTY,
-        fault_tolerant=False)
+    return SessionJournal.create(root, session=session, token=token,
+                                 hello=_hello(execution))
 
 
 class TestJournalRoundTrip:
@@ -52,8 +62,7 @@ class TestJournalRoundTrip:
         assert meta.session == 1
         assert meta.token == "cafe0123"
         assert meta.epoch == 1
-        assert meta.program == "xyz"
-        assert meta.spec == XYZ_PROPERTY
+        assert meta.hello == _hello(execution)
         recovered = reopened.recover_and_open()
         assert [m.to_json() for m in recovered] == [
             m.to_json() for m in execution.messages]
@@ -144,7 +153,7 @@ class TestReplayParity:
         journal = _create(tmp_path, execution)
         journal.recover_and_open()
 
-        live = build_observer(journal.meta)
+        live = build_observer(journal.meta.hello)
         for m in execution.messages:
             live.receive(m)
             journal.write(m)
@@ -153,7 +162,7 @@ class TestReplayParity:
 
         reopened = SessionJournal.open_dir(journal.dir)
         recovered = reopened.recover_and_open()
-        rebuilt = build_observer(reopened.meta)
+        rebuilt = build_observer(reopened.meta.hello)
         rebuilt.rebuild(recovered)
         live.finish()
         rebuilt.finish()
@@ -185,3 +194,66 @@ class TestSealAndAdopt:
         assert entry.events == len(execution.messages)
         assert not sealed.exists()   # moved, not copied
         assert archive.path_of(entry).exists()
+
+
+class TestOlderJournal:
+    """``meta.json`` keeps its key layout across daemon versions; a key a
+    newer daemon no longer reads is ignored, so a journal an older daemon
+    wrote (its tolerance flag set, here) recovers and runs strict."""
+
+    TOKEN = "0ldjournal"
+
+    def _write(self, root, execution, prefix):
+        journal = _create(root, execution, session=3, token=self.TOKEN)
+        journal.recover_and_open()
+        for m in execution.messages[:prefix]:
+            journal.write(m)
+        journal.close()
+        (journal.dir / META_NAME).write_text(json.dumps({
+            "version": 1, "session": 3, "token": self.TOKEN, "epoch": 1,
+            "program": "xyz", "n_threads": execution.n_threads,
+            "initial": dict(execution.initial_store), "spec": XYZ_PROPERTY,
+            RETIRED_TOLERANCE_KEY: True, "created_at": 1.0, "engines": [],
+        }), encoding="utf-8")
+
+    def test_meta_reads_into_the_hello(self, tmp_path):
+        execution = _execution()
+        self._write(tmp_path, execution, prefix=0)
+        [journal], skipped = scan_journals(tmp_path)
+        assert skipped == []
+        assert journal.meta.hello == _hello(execution)
+        assert RETIRED_TOLERANCE_KEY not in journal.meta.to_json()
+
+    def test_recovered_session_resumes_to_the_reference_verdict(
+            self, tmp_path):
+        execution = _execution(seed=3)
+        half = len(execution.messages) // 2
+        ckpt = tmp_path / "ckpt"
+        self._write(ckpt, execution, prefix=half)
+        config = ServerConfig(port=0, workers=1, supervised=True,
+                              checkpoint_dir=str(ckpt), recover=True,
+                              resume_timeout=30.0, drain_timeout=60.0)
+        with AnalysisServer(config) as srv:
+            sock, reply = _handshake(
+                srv.host, srv.port,
+                Hello(mode="resume", session=3, token=self.TOKEN, epoch=1),
+                timeout=10.0)
+            assert reply["delivered"] == half
+            sock.settimeout(None)
+            session = AttachedSession(3, None, token=self.TOKEN,
+                                      epoch=reply["epoch"])
+            session._sender = ReliableSender(
+                sock=sock, on_frame=session._on_frame, first_seq=half)
+            for m in execution.messages[half:]:
+                session.send(m)
+            verdict = session.close(timeout=60.0)
+
+        reference = Observer(execution.n_threads, execution.initial_store,
+                             spec=XYZ_PROPERTY)
+        reference.receive_batch(execution.messages)
+        reference.finish()
+        assert verdict.state == "finished"
+        assert verdict.analyzed == len(execution.messages)
+        assert sorted(verdict.counterexamples) == sorted(
+            reference.counterexamples())
+        assert verdict.violations == len(reference.violations) > 0

@@ -19,10 +19,16 @@ from repro.observer import Observer
 from repro.observer.reliable import ReliableTransportError
 from repro.sched import RandomScheduler, run_program
 from repro.server import AnalysisServer, ServerConfig, attach
+from repro.server.protocol import Hello
 from repro.server.session import Session
 from repro.workloads import XYZ_PROPERTY, XYZ_VARS, random_program
 
-from ..conftest import SOUP_ENGINES, lock_soup, sealed_record
+from ..conftest import (
+    RETIRED_TOLERANCE_KEY,
+    SOUP_ENGINES,
+    lock_soup,
+    sealed_record,
+)
 
 
 def _rewrite_frame(sender, n, rewrite):
@@ -187,6 +193,53 @@ class TestFinCount:
         assert record["error"] == (
             f"connection dropped on a bad frame: fin count {count} != "
             f"delivered 4")
+
+
+@pytest.fixture(params=[False, True], ids=["in-process", "supervised"])
+def mode_config(request, tmp_path):
+    """Server config for either execution mode of a session."""
+    if request.param:
+        return dict(supervised=True, checkpoint_dir=str(tmp_path / "ckpt"))
+    return {}
+
+
+class TestWithheldMessage:
+    """Served sessions are strict.  The wire hands the observer every
+    message it was sent, in order, so a stream with a causal hole (a
+    client that skipped a message) ends with a message parked behind the
+    gap, and the session fails with the observer's own reason instead of
+    a verdict over part of the stream."""
+
+    @pytest.mark.parametrize("old_client", [False, True],
+                             ids=["hello", "hello-asking-for-tolerance"])
+    def test_a_causal_hole_fails_the_session(self, xyz_execution,
+                                             mode_config, old_client,
+                                             monkeypatch):
+        if old_client:
+            # what an older client sends: the key is admitted and ignored
+            to_frame = Hello.to_frame
+            monkeypatch.setattr(Hello, "to_frame", lambda self: {
+                **to_frame(self), RETIRED_TOLERANCE_KEY: True})
+        initial = {v: xyz_execution.initial_store[v] for v in XYZ_VARS}
+        records = []
+        with AnalysisServer(ServerConfig(port=0, workers=1, **mode_config),
+                            on_session_end=records.append) as srv:
+            session = attach(srv.host, srv.port,
+                             n_threads=xyz_execution.n_threads,
+                             initial=initial, spec=XYZ_PROPERTY)
+            # message 1 (z=1, thread 1's first) precedes thread 1's x=1
+            for i, m in enumerate(xyz_execution.messages):
+                if i != 1:
+                    session.send(m)
+            started = time.monotonic()
+            verdict = session.close(timeout=10.0)
+            elapsed = time.monotonic() - started
+            record = sealed_record(records)
+        assert verdict.state == "failed"
+        assert "stream closed with missing relevant messages" in verdict.error
+        assert elapsed < 5.0
+        assert record["state"] == "failed"
+        assert record["error"] == verdict.error
 
 
 def _firehose_sized():

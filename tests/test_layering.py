@@ -11,6 +11,8 @@ statements.
 * Every connection socket on that wire has Nagle's algorithm off: each
   ``socket.create_connection(...)`` and ``.accept()`` in ``src/`` hands
   its socket to ``set_nodelay`` in the same function.
+* A served session's observer has one recipe: inside ``repro/server/``
+  only ``build_observer`` calls ``Observer(...)``.
 """
 
 import ast
@@ -189,3 +191,42 @@ def test_nodelay_check_flags_a_bare_socket(body, flagged):
     _, offenders = _nodelay_sites(f"def f(srv, addr):\n    {body}\n",
                                       "m.py")
     assert bool(offenders) == flagged
+
+
+def _observer_sites(source: str, where: str) -> list[str]:
+    """``where:scope`` for every ``Observer(...)`` call in a module, the
+    scope being the innermost function, lambda or class around it."""
+    tree = ast.parse(source)
+    scopes = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef))]
+    names = {id(tree): "<module>"}
+    return [
+        f"{where}:{names.get(id(scope)) or getattr(scope, 'name', '<lambda>')}"
+        for scope in scopes for node in _own_nodes(scope)
+        if isinstance(node, ast.Call) and "Observer" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_served_observers_have_one_recipe():
+    sites = []
+    for path in sorted((SRC / "repro" / "server").rglob("*.py")):
+        sites += _observer_sites(path.read_text(encoding="utf-8"),
+                                 str(path.relative_to(SRC)))
+    # exactly one site, so the check cannot pass by finding none
+    assert sites == ["repro/server/session.py:build_observer"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def build_observer(h):\n    return Observer(1, {})\n",
+     ["m.py:build_observer"]),
+    ("obs = observer.Observer(1, {})\n", ["m.py:<module>"]),
+    ("class S:\n    def __init__(self):\n        self.o = Observer(1, {})\n",
+     ["m.py:__init__"]),
+    ("make = lambda: Observer(1, {})\n", ["m.py:<lambda>"]),
+    ("def f():\n    return ObserverHealth(), Observer\n", []),
+])
+def test_observer_check_finds_every_call(source, found):
+    assert _observer_sites(source, "m.py") == found
+
